@@ -13,6 +13,7 @@ the baseline source for ``repro runs compare --bench``.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,10 @@ from repro.core.selection import SelectionMatrix
 from repro.data.icsc import icsc_ecosystem
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# The reference implementations the gates compare against live in the
+# test tree (tests/oracles.py); make them importable from any cwd.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 
 def report(title: str, lines: list[str]) -> None:

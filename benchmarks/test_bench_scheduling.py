@@ -8,7 +8,7 @@ robustness of plans under execution jitter.
 
 Two acceptance gates cover the compiled scheduling core
 (`repro.continuum.compile`): compiled HEFT must beat the pure-Python
-reference by ≥10× on a 5k-task × 500-resource fleet (on bit-identical
+reference (`tests/oracles.py`) by ≥10× on a 5k-task × 500-resource fleet (on bit-identical
 placements), and a 10k-task × 1k-resource fleet must schedule, validate,
 and simulate end-to-end inside a fixed wall-clock budget.
 """
@@ -29,6 +29,7 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.simulate import simulate_schedule
 from repro.continuum.workflow import layered_workflow, random_workflow
+from tests.oracles import schedule_reference
 
 CONTINUUM = default_continuum(n_hpc=2, n_cloud=4, n_edge=8, seed=2023)
 WORKFLOW = random_workflow(120, seed=2023, edge_probability=0.08)
@@ -118,7 +119,7 @@ def test_bench_heft_compiled_vs_reference(benchmark):
     scheduler = HeftScheduler()
 
     start = time.perf_counter()
-    reference = scheduler.schedule_reference(wf, continuum)
+    reference = schedule_reference(scheduler, wf, continuum)
     reference_s = time.perf_counter() - start
 
     compiled = benchmark.pedantic(

@@ -15,7 +15,6 @@ from repro.continuum.montecarlo import (
     CellAggregate,
     CellSpec,
     CellStats,
-    FixedHistogram,
     MetricSummary,
     QuantileSketch,
     ReplicationResult,
@@ -71,7 +70,6 @@ __all__ = [
     "EnergyAwareScheduler",
     "ExecutionTrace",
     "FailureTrace",
-    "FixedHistogram",
     "HeftScheduler",
     "MatchModel",
     "MatchReport",

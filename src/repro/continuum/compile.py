@@ -1,13 +1,13 @@
 """Compiled scheduling core: array-backed placement for large fleets.
 
-The reference schedulers in :mod:`repro.continuum.scheduling` are written
-against the object model — string task keys, ``Resource.execution_time``
-calls, ``Continuum.transfer_time`` per (edge × candidate).  That reads
-well and tops out at toy fleets: every placement decision pays thousands
-of dict lookups and Python-level float ops.  This module is the
-``SimulationContext`` invariant-hoisting idea from
-:mod:`~repro.continuum.montecarlo` generalized from *replaying* schedules
-to *building* them:
+The original schedulers were written against the object model — string
+task keys, ``Resource.execution_time`` calls, ``Continuum.transfer_time``
+per (edge × candidate).  That reads well and tops out at toy fleets:
+every placement decision pays thousands of dict lookups and Python-level
+float ops.  Those versions now live only as test oracles
+(``tests/oracles.py``).  This module is the ``SimulationContext``
+invariant-hoisting idea from :mod:`~repro.continuum.montecarlo`
+generalized from *replaying* schedules to *building* them:
 
 * :class:`CompiledWorkflow` — task keys mapped to integer ids once, work
   and output-size vectors, CSR predecessor/successor adjacency, the
@@ -217,10 +217,9 @@ class CompiledProblem:
     __slots__ = (
         "cw",
         "cc",
-        "duration",
+        "_duration",
         "_feasible_groups",
         "_dur_lists",
-        "_pred_id_lists",
         "_feasible_id_lists",
         "_transfer_lists",
         "_rank_cache",
@@ -231,25 +230,31 @@ class CompiledProblem:
         cc = CompiledContinuum(continuum)
         self.cw = cw
         self.cc = cc
-        #: duration[t, r] == continuum resources' execution_time(work[t]):
-        #: the same IEEE division, vectorized.
-        self.duration = cw.work[:, None] / cc.speed[None, :]
-        self.duration.setflags(write=False)
+        self._duration = None
         self._feasible_groups = None
         self._dur_lists = None
-        self._pred_id_lists = None
         self._feasible_id_lists = None
         self._transfer_lists = None
         self._rank_cache = None
 
     @property
+    def duration(self) -> np.ndarray:
+        """``duration[t, r]`` == resource ``r``'s ``execution_time(work[t])``
+        (the same IEEE division), read-only, built on first use."""
+        if self._duration is None:
+            duration = self.cw.work[:, None] / self.cc.speed[None, :]
+            duration.setflags(write=False)
+            self._duration = duration
+        return self._duration
+
+    @property
     def feasible_groups(self) -> tuple[np.ndarray, ...]:
         """Feasible resource ids per requirement group, continuum order.
 
-        Computed lazily on first access and checked like the reference
-        ``_feasible_resources``: the first task (in workflow insertion
-        order) with no feasible resource raises the identical
-        :class:`SchedulingError`.
+        Computed lazily on first access and checked task by task: the
+        first task (in workflow insertion order) with no feasible
+        resource raises :class:`SchedulingError`, with the message the
+        reference schedulers raise.
         """
         if self._feasible_groups is None:
             cw, cc = self.cw, self.cc
@@ -298,17 +303,13 @@ class CompiledProblem:
     # -- cached list views for the pure-Python replay loop ----------------------
     # montecarlo's replication loop runs on nested lists (faster than
     # ndarray scalar indexing under the GIL); these lazy views let every
-    # SimulationContext of this problem share one conversion.
+    # SimulationContext of this problem share one conversion (a one-shot
+    # replay computes the few entries it reads on demand instead).
 
     def dur_lists(self) -> list[list[float]]:
         if self._dur_lists is None:
             self._dur_lists = self.duration.tolist()
         return self._dur_lists
-
-    def pred_id_lists(self) -> list[list[int]]:
-        if self._pred_id_lists is None:
-            self._pred_id_lists = [list(p) for p in self.cw._pred_lists]
-        return self._pred_id_lists
 
     def feasible_id_lists(self) -> list[list[int]]:
         if self._feasible_id_lists is None:
@@ -510,7 +511,7 @@ def heft_placements(
     """HEFT placement on the compiled problem.
 
     Returns ``(resource_id, start, finish)`` arrays by task id,
-    bit-identical to ``HeftScheduler.schedule_reference``.
+    bit-identical to the reference HEFT in ``tests/oracles.py``.
     """
     cw, cc = problem.cw, problem.cc
     n_tasks = cw.n_tasks

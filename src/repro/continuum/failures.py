@@ -11,17 +11,28 @@ for a repair interval.  Two recovery policies:
 * ``"migrate"`` — move the task to the feasible resource that can finish
   it earliest (checkpoint-free migration: the attempt restarts from zero).
 
-The replay is a *list-scheduling replay*: tasks run in dependency
-(topological) order, each starting as soon as its inputs have arrived and
-its resource is free — the plan fixes the task→resource mapping, reality
-fixes the timing.  Returned metrics quantify the fault-tolerance cost:
-failure count, retries, lost work, and makespan inflation.
+The replay is a *list-scheduling replay*: tasks run in the plan's start
+order (which must be topological), each starting as soon as its inputs
+have arrived and its resource is free — the plan fixes the task→resource
+mapping, reality fixes the timing.  Returned metrics quantify the
+fault-tolerance cost: failure count, retries, lost work, and makespan
+inflation.
+
+:func:`simulate_with_failures` is a thin wrapper around the one replay
+kernel, :func:`repro.continuum.montecarlo._replicate`, which the
+Monte-Carlo engine runs thousands of times per grid cell; one call here
+is bit-identical to one replication there with the same generator and no
+jitter.  The one-shot call builds no dense ``task × resource`` or
+``task × src × dst`` tables: its context computes each duration and
+transfer time when the replay reads it, with the same IEEE operations.
+Its parity oracle, a string-keyed replay, is in ``tests/oracles.py``.
 
 Passing ``telemetry=`` traces the replay (``simulate_failures`` span),
 logs every killed attempt (``sim.failure``), and mirrors the cost into
-the ``sim.failures_injected`` / ``sim.retries`` / ``sim.migrations`` /
-``sim.events`` counters that :func:`repro.obs.build_simulation_record`
-lifts into the run ledger.
+the ``sim.failures_injected`` (idle reboots plus killed attempts) /
+``sim.retries`` / ``sim.migrations`` / ``sim.events`` (tasks plus killed
+attempts) counters that :func:`repro.obs.build_simulation_record` lifts
+into the run ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.continuum.resources import Continuum
+from repro.continuum.compile import compile_problem
+from repro.continuum.montecarlo import SimulationContext, _replicate, _summarize
 from repro.continuum.scheduling import Schedule, TaskPlacement
 from repro.errors import ContinuumError
 from repro.telemetry import ensure
@@ -70,38 +82,6 @@ class FailureTrace:
         return self.makespan / self.planned_makespan
 
 
-class _FailureClock:
-    """Per-resource Poisson failure process, sampled lazily."""
-
-    def __init__(self, keys, mtbf: float, rng: np.random.Generator) -> None:
-        self._mtbf = mtbf
-        self._rng = rng
-        self._next: dict[str, float] = {
-            key: float(rng.exponential(mtbf)) for key in keys
-        }
-        #: Failures that fired (harmless idle reboots included) — the
-        #: ``sim.failures_injected`` counter.
-        self.consumed = 0
-
-    def next_failure(self, resource: str) -> float:
-        return self._next[resource]
-
-    def consume(self, resource: str) -> None:
-        """The pending failure happened; sample the next one."""
-        self.consumed += 1
-        self._next[resource] += float(self._rng.exponential(self._mtbf))
-
-    def advance_past(self, resource: str, time: float) -> None:
-        """Discard failures that elapsed while the resource was idle.
-
-        A failure of an idle node is modelled as harmless (it reboots with
-        nothing to lose), so pending failure times strictly before *time*
-        are skipped.
-        """
-        while self._next[resource] < time:
-            self.consume(resource)
-
-
 def simulate_with_failures(
     schedule: Schedule,
     *,
@@ -118,7 +98,9 @@ def simulate_with_failures(
     Parameters
     ----------
     schedule:
-        The plan (fixes the task→resource mapping and task order).
+        The plan (fixes the task→resource mapping and task order); a plan
+        whose start order is not topological raises
+        :class:`ContinuumError`.
     mtbf:
         Mean time between failures per resource, in simulated seconds.
     repair_time:
@@ -159,16 +141,20 @@ def simulate_with_failures(
 
     tel = ensure(telemetry)
     if not tel.enabled:
-        return _replay(schedule, mtbf, repair_time, policy, rng, max_attempts, tel)[0]
+        return _failure_trace(
+            schedule, mtbf, repair_time, policy, rng, max_attempts, tel
+        )[0]
     with tel.tracer.span(
         "simulate_failures",
         policy=policy,
         mtbf=mtbf,
         tasks=len(schedule.workflow),
     ) as span:
-        trace, injected, attempts = _replay(
+        trace, idle_failures = _failure_trace(
             schedule, mtbf, repair_time, policy, rng, max_attempts, tel
         )
+        injected = idle_failures + trace.n_failures
+        events = len(trace.placements) + trace.n_failures
         span.tags.update(
             makespan=trace.makespan,
             failures=trace.n_failures,
@@ -178,12 +164,12 @@ def simulate_with_failures(
         metrics.counter("sim.failures_injected").inc(injected)
         metrics.counter("sim.retries").inc(trace.n_failures)
         metrics.counter("sim.migrations").inc(trace.n_migrations)
-        metrics.counter("sim.events").inc(attempts)
+        metrics.counter("sim.events").inc(events)
         metrics.counter("sim.tasks").inc(len(trace.placements))
         tel.log.info(
             "sim.finish",
             tasks=len(trace.placements),
-            events=attempts,
+            events=events,
             failures_injected=injected,
             retries=trace.n_failures,
             migrations=trace.n_migrations,
@@ -194,7 +180,7 @@ def simulate_with_failures(
     return trace
 
 
-def _replay(
+def _failure_trace(
     schedule: Schedule,
     mtbf: float,
     repair_time: float,
@@ -202,110 +188,38 @@ def _replay(
     rng: np.random.Generator,
     max_attempts: int,
     tel,
-) -> tuple[FailureTrace, int, int]:
-    """The replay loop; returns (trace, failures fired, attempts started)."""
-    workflow = schedule.workflow
-    continuum: Continuum = schedule.continuum
-    clock = _FailureClock(continuum.keys, mtbf, rng)
-
-    resource_free: dict[str, float] = {key: 0.0 for key in continuum.keys}
-    finished: dict[str, TaskPlacement] = {}
-    n_failures = 0
-    n_migrations = 0
-    lost_work = 0.0
-    attempts_started = 0
-
-    def data_ready(task_key: str, on_resource: str) -> float:
-        ready = 0.0
-        for pred in workflow.predecessors(task_key):
-            placement = finished[pred]
-            arrival = placement.finish + continuum.transfer_time(
-                workflow[pred].output_size, placement.resource, on_resource
-            )
-            ready = max(ready, arrival)
-        return ready
-
-    # Replay in the plan's global start order restricted to a valid
-    # topological order (the plan's start order IS topological: a schedule
-    # validates that successors start after predecessors finish).
-    order = [p.task for p in schedule.placements]
-
-    for task_key in order:
-        task = workflow[task_key]
-        resource_key = schedule[task_key].resource
-        attempts = 0
-        while True:
-            if attempts >= max_attempts:
-                raise ContinuumError(
-                    f"task {task_key!r} failed {attempts} times; "
-                    f"mtbf={mtbf} is too small for its duration"
-                )
-            attempts_started += 1
-            resource = continuum[resource_key]
-            duration = resource.execution_time(task.work)
-            start = max(
-                resource_free[resource_key],
-                data_ready(task_key, resource_key),
-            )
-            clock.advance_past(resource_key, start)
-            failure = clock.next_failure(resource_key)
-            if failure >= start + duration:
-                finish = start + duration
-                resource_free[resource_key] = finish
-                finished[task_key] = TaskPlacement(
-                    task_key, resource_key, start, finish
-                )
-                break
-            # The attempt dies at the failure instant.
-            attempts += 1
-            n_failures += 1
-            lost_work += failure - start
-            clock.consume(resource_key)
-            resource_free[resource_key] = failure + repair_time
-            if tel.enabled:
-                tel.log.debug(
-                    "sim.failure",
-                    task=task_key,
-                    resource=resource_key,
-                    at=failure,
-                    lost=failure - start,
-                    attempt=attempts,
-                    policy=policy,
-                )
-            if policy == "migrate":
-                # Earliest-finish feasible resource for the retry.
-                candidates = []
-                for other in continuum:
-                    if not other.supports(task.requirements):
-                        continue
-                    retry_start = max(
-                        resource_free[other.key],
-                        data_ready(task_key, other.key),
-                    )
-                    retry_finish = retry_start + other.execution_time(task.work)
-                    candidates.append((retry_finish, other.key))
-                if not candidates:  # pragma: no cover - plan was feasible
-                    raise ContinuumError(
-                        f"no feasible resource left for {task_key!r}"
-                    )
-                _, best_key = min(candidates)
-                if best_key != resource_key:
-                    resource_key = best_key
-
-    makespan = max(p.finish for p in finished.values())
-    n_migrations = sum(
-        1
-        for task_key, placement in finished.items()
-        if placement.resource != schedule[task_key].resource
+) -> tuple[FailureTrace, int]:
+    """One kernel replay lifted to a trace, plus the idle failures it
+    skipped; logs every killed attempt when *tel* is enabled."""
+    problem = compile_problem(schedule.workflow, schedule.continuum)
+    context = SimulationContext._one_shot(schedule, problem)
+    killed = [] if tel.enabled else None
+    outcome = _replicate(
+        context, mtbf, repair_time, policy == "migrate", 0.0, max_attempts,
+        rng, killed,
+    )
+    task_keys, res_keys = problem.cw.keys, problem.cc.keys
+    for task, res, start, failure, attempt in killed or ():
+        tel.log.debug(
+            "sim.failure",
+            task=task_keys[task],
+            resource=res_keys[res],
+            at=failure,
+            lost=failure - start,
+            attempt=attempt,
+            policy=policy,
+        )
+    summary = _summarize(context, outcome)
+    start, finish, resource, _, _, idle_failures = outcome
+    placements = map(
+        TaskPlacement, task_keys, [res_keys[r] for r in resource], start, finish
     )
     trace = FailureTrace(
-        placements=tuple(
-            sorted(finished.values(), key=lambda p: (p.start, p.task))
-        ),
-        makespan=float(makespan),
+        placements=tuple(sorted(placements, key=lambda p: (p.start, p.task))),
+        makespan=summary.makespan,
         planned_makespan=schedule.makespan,
-        n_failures=n_failures,
-        n_migrations=n_migrations,
-        lost_work=float(lost_work),
+        n_failures=summary.retries,
+        n_migrations=summary.migrations,
+        lost_work=summary.lost_work,
     )
-    return trace, clock.consumed, attempts_started
+    return trace, idle_failures

@@ -16,8 +16,11 @@ This module is the batched engine, in four layers:
    adjacency, per-task durations on every resource, a precomputed
    ``task × src × dst`` transfer-cost table, the plan's start order, and
    the feasibility sets the migrate policy scans.  One replication then
-   runs on flat lists of floats and ints.  The replay is *bit-identical*
-   to the one-shot simulators (see the determinism contract below).
+   runs on flat lists of floats and ints in :func:`_replicate`, the
+   package's one list-scheduling replay: ``simulate_with_failures`` wraps
+   it, its ``mtbf=None`` branch is the makespan-only fast path, and
+   ``simulate_schedule`` keeps its event loop for the reason given in
+   :mod:`repro.continuum.simulate`.
 2. **Work-stealing process parallelism** — :func:`run_sweep` feeds a
    shared round queue to a ``ProcessPoolExecutor`` (the pure-Python
    replay loop is GIL-bound, so threads cannot scale it).  Workers
@@ -65,12 +68,12 @@ only at fully-folded round boundaries, on statistics that are themselves
 bit-identical across execution placements; the round size
 (``chunk_size``) is therefore part of an adaptive cell's identity, while
 for fixed-replication sweeps chunking still can never change results.
-Against the
-one-shot simulators, one replication with generator ``g`` reproduces
+One replication with generator ``g`` reproduces
 ``simulate_with_failures(schedule, ..., rng=g)`` bit-for-bit when
-``jitter == 0``, and ``simulate_schedule(schedule, jitter=j, rng=g)``
-when ``mtbf is None`` (batch draws of NumPy ``Generator`` consume the
-stream exactly like the equivalent scalar sequence).
+``jitter == 0`` (the same kernel), and the makespan of
+``simulate_schedule(schedule, jitter=j, rng=g)`` when ``mtbf is None``
+(batch draws of NumPy ``Generator`` consume the stream exactly like the
+equivalent scalar sequence).
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from operator import ne
 from typing import Any, Mapping
 
 import numpy as np
@@ -105,7 +109,6 @@ __all__ = [
     "SimulationContext",
     "replicate_once",
     "RunningStat",
-    "FixedHistogram",
     "QuantileSketch",
     "CellAggregate",
     "MetricSummary",
@@ -174,15 +177,17 @@ class SimulationContext:
     *placement* duration), predecessor adjacency, the full
     ``task × src × dst`` transfer-cost table (IEEE-equal to
     ``Continuum.transfer_time``), feasibility sets, and the
-    key-sorted resource ranks that break migrate-policy ties exactly like
-    the string comparison in :func:`simulate_with_failures`.
+    key-sorted resource ranks that break migrate-policy ties on the
+    resource key string.
 
     The pairing-level invariants (duration matrix, transfer table,
-    adjacency, feasibility) now live on
+    adjacency, feasibility) live on
     :class:`~repro.continuum.compile.CompiledProblem`; pass ``problem=``
     to share one compilation across every schedule/context of the same
     workflow × continuum pairing — only the schedule-specific pieces
     (plan order, planned resources/durations) are rebuilt per context.
+    A plan that starts a task before one of its predecessors raises
+    :class:`~repro.errors.ContinuumError`: the replay needs that order.
     """
 
     __slots__ = (
@@ -205,6 +210,30 @@ class SimulationContext:
     ) -> None:
         if problem is None:
             problem = compile_problem(schedule.workflow, schedule.continuum)
+        self._bind(schedule, problem)
+        # Dense list tables, shared by every context of the problem.
+        self.dur = problem.dur_lists()
+        self.transfer = problem.transfer_lists()
+
+    @classmethod
+    def _one_shot(
+        cls, schedule: Schedule, problem: CompiledProblem
+    ) -> "SimulationContext":
+        """A context for one replay: it computes each ``dur``/``transfer``
+        entry when read, with the same IEEE operations, instead of
+        building tables (10¹⁰ transfer entries at 10k tasks × 1k nodes)."""
+        context = cls.__new__(cls)
+        context._bind(schedule, problem)
+        cw, cc = problem.cw, problem.cc
+        speed = cc.speed.tolist()
+        context.dur = [_DurationRow(work, speed) for work in cw.work.tolist()]
+        context.transfer = [
+            _TransferRows(size, cc.latency, cc.bandwidth)
+            for size in cw.output_size.tolist()
+        ]
+        return context
+
+    def _bind(self, schedule: Schedule, problem: CompiledProblem) -> None:
         cw, cc = problem.cw, problem.cc
         tindex = cw.index
         rindex = cc.index
@@ -212,8 +241,6 @@ class SimulationContext:
         self.schedule = schedule
         self.n_tasks = cw.n_tasks
         self.n_resources = cc.n_resources
-        #: Plan start order as task indices (a valid topological order —
-        #: the schedule validated that successors start after predecessors).
         self.order = [tindex[p.task] for p in schedule.placements]
         self.planned_res = [0] * self.n_tasks
         self.plan_dur = [0.0] * self.n_tasks
@@ -221,20 +248,60 @@ class SimulationContext:
             placement = schedule[key]
             self.planned_res[tindex[key]] = rindex[placement.resource]
             self.plan_dur[tindex[key]] = placement.duration
-
-        # Pairing-level tables, shared via the compiled problem's cached
-        # list views (dur[task][resource] == Resource.execution_time;
-        # transfer[task][src][dst] == Continuum.transfer_time — the
-        # diagonal is free and a zero output costs latency only, the
-        # same IEEE division either way).
-        self.dur = problem.dur_lists()
-        self.transfer = problem.transfer_lists()
-        self.preds = problem.pred_id_lists()
+        self.preds = cw.pred_lists()
+        _check_topological(self.order, self.preds, cw.keys)
         self.feasible = problem.feasible_id_lists()
-        # simulate_with_failures breaks earliest-finish ties on the
-        # resource *key string*; ranks reproduce that order on ints.
         self.res_rank = cc.res_rank.tolist()
         self.planned_makespan = schedule.makespan
+
+
+def _check_topological(
+    order: list[int], preds: list[list[int]], keys: tuple[str, ...]
+) -> None:
+    """Raise unless every task starts after all of its predecessors."""
+    position = {task: i for i, task in enumerate(order)}
+    for task in order:
+        for pred in preds[task]:
+            if position[pred] > position[task]:
+                raise ContinuumError(
+                    f"plan starts task {keys[task]!r} before its "
+                    f"predecessor {keys[pred]!r}; a replay needs a "
+                    "topological start order"
+                )
+
+
+class _DurationRow:
+    """``row[r]`` is ``work / speed[r]``, computed when read."""
+
+    __slots__ = ("work", "speed")
+
+    def __init__(self, work: float, speed: list[float]) -> None:
+        self.work = work
+        self.speed = speed
+
+    def __getitem__(self, r: int) -> float:
+        return self.work / self.speed[r]
+
+
+class _TransferRows:
+    """``rows[src][dst]`` is ``latency[src, dst] + size / bandwidth[src,
+    dst]``, computed when read."""
+
+    __slots__ = ("size", "latency", "bandwidth", "src")
+
+    def __init__(
+        self, size: float, latency, bandwidth, src: int | None = None
+    ) -> None:
+        self.size = size
+        self.latency = latency
+        self.bandwidth = bandwidth
+        self.src = src
+
+    def __getitem__(self, i: int):
+        if self.src is None:
+            return _TransferRows(self.size, self.latency, self.bandwidth, i)
+        latency, bandwidth, src = self.latency, self.bandwidth, self.src
+        return latency.item(src, i) + self.size / bandwidth.item(src, i)
 
 
 def replicate_once(
@@ -251,20 +318,21 @@ def replicate_once(
 
     With ``mtbf=None`` this is the jitter-only replay (bit-identical
     makespan to :func:`~repro.continuum.simulate.simulate_schedule`);
-    with a finite ``mtbf`` it is the failure replay (bit-identical to
-    :func:`~repro.continuum.failures.simulate_with_failures` when
-    ``jitter == 0``).  Draw order: the per-task jitter factors first
-    (task insertion order), then the per-resource initial failure times
-    (continuum key order), then one exponential per consumed failure.
+    with a finite ``mtbf`` it is the failure replay that
+    :func:`~repro.continuum.failures.simulate_with_failures` wraps
+    (bit-identical to it when ``jitter == 0``).  Draw order: the
+    per-task jitter factors first (task insertion order), then the
+    per-resource initial failure times (continuum key order), then one
+    exponential per consumed failure.
     """
     _validate_cell_params(
         mtbf=mtbf, repair_time=repair_time, policy=policy, jitter=jitter,
         max_attempts=max_attempts,
     )
-    return _replicate(
+    return _summarize(context, _replicate(
         context, mtbf, repair_time, policy == "migrate", jitter,
         max_attempts, rng,
-    )
+    ))
 
 
 def _validate_cell_params(
@@ -295,8 +363,20 @@ def _replicate(
     jitter: float,
     max_attempts: int,
     rng: np.random.Generator,
-) -> ReplicationResult:
-    """The replication hot loop: flat lists, integer indices, local names."""
+    killed: list[tuple[int, int, float, float, int]] | None = None,
+) -> tuple[list[float], list[float], list[int], int, float, int]:
+    """The list-scheduling replay: flat lists, integer indices, local names.
+
+    Tasks run in plan start order on their planned resources, each once
+    its resource is free and its inputs have arrived.  A failure while a
+    resource idles is a harmless reboot (skipped and counted); one inside
+    an attempt kills it, and the resource is down for ``repair_time``;
+    ``migrate`` retries on the earliest-finishing feasible resource.
+    ``mtbf=None`` is the makespan-only fast path, with no failure clock.
+    Returns per-task ``start``/``finish``/``resource`` lists, then killed
+    attempts, lost work and idle failures; ``killed`` receives
+    ``(task, resource, start, failure, attempt)`` per killed attempt.
+    """
     n_tasks = ctx.n_tasks
     order = ctx.order
     planned_res = ctx.planned_res
@@ -318,23 +398,26 @@ def _replicate(
         exponential(mtbf, size=ctx.n_resources).tolist() if clocked else None
     )
     resource_free = [0.0] * ctx.n_resources
+    start_time = [0.0] * n_tasks
     fin_time = [0.0] * n_tasks
     fin_res = list(planned_res)
     n_failures = 0
     lost_work = 0.0
+    idle_failures = 0
 
     for ti in order:
         res = planned_res[ti]
         task_preds = preds[ti]
         # The jitter-only path multiplies the *placement* duration, like
-        # simulate_schedule; the failure replay recomputes work/speed,
-        # like simulate_with_failures (equal up to float noise).
+        # simulate_schedule; the failure replay recomputes work/speed
+        # (equal up to float noise).
         durations = dur_table[ti]
         attempts = 0
         while True:
             if attempts >= max_attempts:
                 raise ContinuumError(
-                    f"task #{ti} failed {attempts} times; "
+                    f"task {ctx.schedule.workflow.task_keys[ti]!r} failed "
+                    f"{attempts} times; "
                     f"mtbf={mtbf} is too small for its duration"
                 )
             duration = plan_dur[ti] if not clocked else durations[res]
@@ -351,18 +434,21 @@ def _replicate(
             if not clocked:
                 finish = start + duration
                 resource_free[res] = finish
+                start_time[ti] = start
                 fin_time[ti] = finish
                 fin_res[ti] = res
                 break
             # Idle failures are harmless reboots: skip any that elapsed
-            # before the attempt starts (_FailureClock.advance_past).
+            # before the attempt starts.
             failure = next_failure[res]
             while failure < start:
                 failure += float(exponential(mtbf))
+                idle_failures += 1
             if failure >= start + duration:
                 next_failure[res] = failure
                 finish = start + duration
                 resource_free[res] = finish
+                start_time[ti] = start
                 fin_time[ti] = finish
                 fin_res[ti] = res
                 break
@@ -370,6 +456,8 @@ def _replicate(
             attempts += 1
             n_failures += 1
             lost_work += failure - start
+            if killed is not None:
+                killed.append((ti, res, start, failure, attempts))
             next_failure[res] = failure + float(exponential(mtbf))
             resource_free[res] = failure + repair_time
             if migrate:
@@ -390,16 +478,21 @@ def _replicate(
                         best_res = r
                 res = best_res
 
+    return start_time, fin_time, fin_res, n_failures, lost_work, idle_failures
+
+
+def _summarize(
+    ctx: SimulationContext,
+    outcome: tuple[list[float], list[float], list[int], int, float, int],
+) -> ReplicationResult:
+    """One replay's figures of merit."""
+    _, fin_time, fin_res, n_failures, lost_work, _ = outcome
     makespan = max(fin_time)
-    migrations = 0
-    for ti in range(n_tasks):
-        if fin_res[ti] != planned_res[ti]:
-            migrations += 1
     return ReplicationResult(
         makespan=makespan,
         slowdown=makespan / ctx.planned_makespan,
         retries=n_failures,
-        migrations=migrations,
+        migrations=sum(map(ne, fin_res, ctx.planned_res)),
         lost_work=lost_work,
     )
 
@@ -491,89 +584,6 @@ class RunningStat:
             stat.min = float(payload["min"])
             stat.max = float(payload["max"])
         return stat
-
-
-class FixedHistogram:
-    """Fixed-bucket histogram with interpolated quantiles, O(buckets) memory.
-
-    Values are clamped into ``[lo, hi]`` — quantile resolution is bounded
-    by the bucket width (tails saturate at the edges), while the exact
-    moments live in the paired :class:`RunningStat`.  Buckets are linear
-    or geometric; counts are integers, so the histogram is trivially
-    order-independent.
-
-    Clamp semantics: an out-of-range value is *counted* in the nearest
-    edge bucket (``clamped_low``/``clamped_high`` track how many), and a
-    quantile target whose rank falls within that clamped mass answers
-    with the exact edge value, never an interpolated point inside the
-    edge bucket.  Without this, a histogram whose mass saturates the
-    overflow bucket would spread identical out-of-range values across
-    the bucket's span (p50 ≠ p99 for a constant stream), making
-    sketch-vs-histogram comparisons unstable.
-    """
-
-    __slots__ = ("edges", "counts", "_log", "clamped_low", "clamped_high")
-
-    def __init__(
-        self, lo: float, hi: float, n_buckets: int, *, log: bool = False
-    ) -> None:
-        if not hi > lo:
-            raise MonteCarloError("histogram needs hi > lo")
-        if n_buckets < 1:
-            raise MonteCarloError("histogram needs >= 1 bucket")
-        if log and lo <= 0:
-            raise MonteCarloError("log-spaced histogram needs lo > 0")
-        self._log = log
-        if log:
-            self.edges = np.geomspace(lo, hi, n_buckets + 1)
-        else:
-            self.edges = np.linspace(lo, hi, n_buckets + 1)
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.clamped_low = 0
-        self.clamped_high = 0
-
-    def add(self, value: float) -> None:
-        index = int(np.searchsorted(self.edges, value, side="right")) - 1
-        if index < 0:
-            index = 0
-            self.clamped_low += 1
-        elif index >= self.counts.size:
-            index = self.counts.size - 1
-            if value > self.edges[-1]:
-                self.clamped_high += 1
-        self.counts[index] += 1
-
-    @property
-    def count(self) -> int:
-        return int(self.counts.sum())
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile estimate from the bucket counts.
-
-        Targets that land within clamped out-of-range mass return the
-        exact range edge (see the class docstring).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MonteCarloError(f"quantile must be in [0, 1], got {q}")
-        total = self.count
-        if total == 0:
-            raise MonteCarloError("quantile of an empty histogram")
-        target = q * total
-        # Ranks inside the clamped tails are known exactly: every such
-        # observation sits at (or beyond) the range edge.
-        if self.clamped_low and target <= self.clamped_low:
-            return float(self.edges[0])
-        if self.clamped_high and target >= total - self.clamped_high:
-            return float(self.edges[-1])
-        cumulative = np.cumsum(self.counts)
-        index = int(np.searchsorted(cumulative, target, side="left"))
-        if index >= self.counts.size:
-            index = self.counts.size - 1
-        below = float(cumulative[index - 1]) if index > 0 else 0.0
-        inside = float(self.counts[index])
-        fraction = (target - below) / inside if inside else 0.0
-        lo, hi = float(self.edges[index]), float(self.edges[index + 1])
-        return lo + (hi - lo) * min(max(fraction, 0.0), 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1133,10 +1143,10 @@ def _worker_chunk(
         _WORKER_CONTEXTS[task.schedule_index] = context
     migrate = task.policy == "migrate"
     return [
-        _replicate(
+        _summarize(context, _replicate(
             context, task.mtbf, task.repair_time, migrate, task.jitter,
             task.max_attempts, _replication_rng(task.entropy, rep),
-        ).as_tuple()
+        )).as_tuple()
         for rep in range(start, start + count)
     ]
 

@@ -19,11 +19,11 @@ merit: makespan, energy, and carbon.
 task/resource keys are lowered to integer ids once and every hot placement
 quantity — ready times, durations, marginal energies — is an array
 expression, which is what lets 10k-task × 1k-resource fleets schedule in
-seconds.  The original pure-Python implementations are preserved verbatim
-as ``schedule_reference()`` (and ``Schedule.validate_reference()``); the
-compiled paths are **bit-identical** to them — same placements, same
-starts/finishes, same tie-breaks — asserted across a workflow × fleet
-grid by ``tests/test_compile.py`` and speed-gated by
+seconds.  The original pure-Python implementations live on only as test
+oracles (``tests/oracles.py``); the compiled paths are
+**bit-identical** to them — same placements, same starts/finishes, same
+tie-breaks — asserted across a workflow × fleet grid by
+``tests/test_compile.py`` and speed-gated by
 ``benchmarks/test_bench_scheduling.py``.
 
 Every ``schedule()`` accepts an optional ``telemetry=`` keyword: when
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.continuum.compile import (
     CompiledProblem,
-    ResourceTimeline,
     compile_problem,
     energy_placements,
     heft_placements,
@@ -65,12 +64,6 @@ __all__ = [
     "EnergyAwareScheduler",
     "RoundRobinScheduler",
 ]
-
-#: Historical name: the timeline lives in the compile module now (both the
-#: compiled kernels and the reference schedulers share it), with a public
-#: ``last_finish``/``tail()`` API replacing the old ``_intervals``
-#: reach-through.
-_ResourceTimeline = ResourceTimeline
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,15 +171,16 @@ class Schedule:
           the required transfer time);
         * no two tasks overlap on the same resource.
 
-        Raises :class:`SchedulingError` on the first violation.
+        Raises :class:`SchedulingError` on the first violation a loop
+        would meet: per task (insertion order) its timing, then its
+        inputs' arrivals (predecessor order); then overlaps, per resource
+        in order of first appearance in the placement map.
 
         The checks run as three array expressions (per-task timing, one
-        gather over all edges, consecutive-slot comparison per resource);
-        when a violation is detected the original loop implementation
-        (:meth:`validate_reference`) re-runs to raise the identical
-        first-violation error.  ``problem`` optionally supplies a
-        precompiled :class:`~repro.continuum.compile.CompiledProblem` to
-        skip rebuilding the id maps and adjacency.
+        gather over all edges, consecutive-slot comparison per resource).
+        ``problem`` optionally supplies a precompiled
+        :class:`~repro.continuum.compile.CompiledProblem` to skip
+        rebuilding the id maps and adjacency.
         """
         eps = 1e-9
         if problem is None:
@@ -205,11 +199,12 @@ class Schedule:
             finish[i] = p.finish
             res[i] = rindex[p.resource]
 
-        ok = not bool((start < -eps).any() or (finish < start - eps).any())
-        if ok and cw.pred_ids.size:
-            # One gather over every (pred, task) edge: arrival is
-            # pred_finish + latency + size / bandwidth, IEEE-identical to
-            # Continuum.transfer_time.
+        bad_timing = (start < -eps) | (finish < start - eps)
+        first_bad = int(bad_timing.argmax()) if bad_timing.any() else n
+        if cw.pred_ids.size:
+            # One gather over every (pred, task) edge, task by task:
+            # arrival is pred_finish + latency + size / bandwidth,
+            # IEEE-identical to Continuum.transfer_time.
             dst = np.repeat(
                 np.arange(n, dtype=np.intp), np.diff(cw.pred_indptr)
             )
@@ -218,75 +213,38 @@ class Schedule:
                 cc.latency[res[src], res[dst]]
                 + cw.output_size[src] / cc.bandwidth[res[src], res[dst]]
             )
-            ok = not bool((start[dst] + eps < arrival).any())
-        if ok and n > 1:
-            # Per-resource consecutive-slot check, replicating the
-            # reference order: stable sort by (resource, start) keeps
-            # placement-map order on ties, exactly like the per-resource
-            # lists the loop builds.
+            late = start[dst] + eps < arrival
+            if late.any():
+                edge = int(late.argmax())
+                if dst[edge] < first_bad:
+                    raise SchedulingError(
+                        f"task {cw.keys[dst[edge]]!r} starts before data "
+                        f"from {cw.keys[src[edge]]!r} arrives"
+                    )
+        if first_bad < n:
+            raise SchedulingError(f"task {cw.keys[first_bad]!r} has invalid timing")
+        if n > 1:
+            # Per-resource consecutive-slot check: a stable sort by
+            # (resource, start) keeps placement-map order on ties.
             vals = list(placements.values())
             v_start = np.asarray([p.start for p in vals])
             v_finish = np.asarray([p.finish for p in vals])
             v_res = np.asarray([rindex[p.resource] for p in vals])
             order = np.lexsort((v_start, v_res))
             s_res = v_res[order]
-            same = s_res[1:] == s_res[:-1]
-            ok = not bool(
-                (v_start[order][1:] + eps < v_finish[order][:-1])[same].any()
+            overlap = (v_start[order][1:] + eps < v_finish[order][:-1]) & (
+                s_res[1:] == s_res[:-1]
             )
-        if ok:
-            return
-        self.validate_reference()
-        raise SchedulingError(
-            "schedule failed vectorized validation"
-        )  # pragma: no cover - reference raises first
-
-    def validate_reference(self) -> None:
-        """The original loop validator — raises the first violation found.
-
-        Kept as the arbiter for error ordering/messages and as the parity
-        reference for :meth:`validate`.
-        """
-        eps = 1e-9
-        for task_key in self.workflow.task_keys:
-            placement = self[task_key]
-            if placement.start < -eps or placement.finish < placement.start - eps:
-                raise SchedulingError(f"task {task_key!r} has invalid timing")
-            for pred_key in self.workflow.predecessors(task_key):
-                pred = self[pred_key]
-                transfer = self.continuum.transfer_time(
-                    self.workflow[pred_key].output_size,
-                    pred.resource,
-                    placement.resource,
+            if overlap.any():
+                # The first overlap of the resource seen first in the map.
+                pairs = np.flatnonzero(overlap)
+                first_seen = np.full(cc.n_resources, len(vals))
+                np.minimum.at(first_seen, v_res, np.arange(len(vals)))
+                k = int(pairs[first_seen[s_res[pairs]].argmin()])
+                a, b = vals[order[k]], vals[order[k + 1]]
+                raise SchedulingError(
+                    f"tasks {a.task!r} and {b.task!r} overlap on {a.resource!r}"
                 )
-                if placement.start + eps < pred.finish + transfer:
-                    raise SchedulingError(
-                        f"task {task_key!r} starts before data from "
-                        f"{pred_key!r} arrives"
-                    )
-        by_resource: dict[str, list[TaskPlacement]] = {}
-        for placement in self._placements.values():
-            by_resource.setdefault(placement.resource, []).append(placement)
-        for resource, slots in by_resource.items():
-            slots.sort(key=lambda p: p.start)
-            for a, b in zip(slots, slots[1:]):
-                if b.start + eps < a.finish:
-                    raise SchedulingError(
-                        f"tasks {a.task!r} and {b.task!r} overlap on {resource!r}"
-                    )
-
-
-def _feasible_resources(workflow: Workflow, continuum: Continuum) -> dict[str, list[str]]:
-    feasible: dict[str, list[str]] = {}
-    for task in workflow:
-        nodes = [r.key for r in continuum if r.supports(task.requirements)]
-        if not nodes:
-            raise SchedulingError(
-                f"no resource satisfies requirements {sorted(task.requirements)} "
-                f"of task {task.key!r}"
-            )
-        feasible[task.key] = nodes
-    return feasible
 
 
 def _traced_schedule(name: str):
@@ -354,37 +312,10 @@ class HeftScheduler:
     ) -> dict[str, float]:
         """HEFT upward ranks: mean execution + max over successors of
         (mean communication + successor rank), computed in one vectorized
-        backward sweep (bit-identical to :meth:`upward_ranks_reference`)."""
+        backward sweep (bit-identical to the per-task reference loop)."""
         problem = compile_problem(workflow, continuum)
         ranks = upward_rank_array(problem)
         return dict(zip(problem.cw.keys, ranks.tolist()))
-
-    def upward_ranks_reference(
-        self, workflow: Workflow, continuum: Continuum
-    ) -> dict[str, float]:
-        """The original per-task rank loop (parity reference)."""
-        speeds = continuum.speeds
-        mean_speed_inv = float((1.0 / speeds).mean())
-        # Mean communication cost per data unit over distinct node pairs.
-        n = len(continuum)
-        if n > 1:
-            off_diag = ~np.eye(n, dtype=bool)
-            mean_inv_bw = float((1.0 / continuum.bandwidth[off_diag]).mean())
-            mean_lat = float(continuum.latency[off_diag].mean())
-        else:
-            mean_inv_bw = 0.0
-            mean_lat = 0.0
-
-        ranks: dict[str, float] = {}
-        for key in reversed(workflow.topological_order()):
-            task = workflow[key]
-            mean_exec = task.work * mean_speed_inv
-            best = 0.0
-            for succ in workflow.successors(key):
-                comm = mean_lat + task.output_size * mean_inv_bw
-                best = max(best, comm + ranks[succ])
-            ranks[key] = mean_exec + best
-        return ranks
 
     @_traced_schedule("heft")
     def schedule(
@@ -401,45 +332,6 @@ class HeftScheduler:
             problem, insertion=self.insertion
         )
         return _build_schedule(problem, res_of, start_of, fin_of)
-
-    def schedule_reference(
-        self, workflow: Workflow, continuum: Continuum
-    ) -> Schedule:
-        """The original pure-Python HEFT (parity/speedup reference)."""
-        feasible = _feasible_resources(workflow, continuum)
-        ranks = self.upward_ranks_reference(workflow, continuum)
-        order = sorted(workflow.task_keys, key=lambda k: (-ranks[k], k))
-
-        timelines = {key: _ResourceTimeline() for key in continuum.keys}
-        placements: dict[str, TaskPlacement] = {}
-        for task_key in order:
-            task = workflow[task_key]
-            best: TaskPlacement | None = None
-            for node_key in feasible[task_key]:
-                resource = continuum[node_key]
-                ready = 0.0
-                for pred_key in workflow.predecessors(task_key):
-                    pred = placements[pred_key]
-                    arrival = pred.finish + continuum.transfer_time(
-                        workflow[pred_key].output_size, pred.resource, node_key
-                    )
-                    ready = max(ready, arrival)
-                duration = resource.execution_time(task.work)
-                if self.insertion:
-                    start = timelines[node_key].earliest_slot(ready, duration)
-                else:
-                    start = max(ready, timelines[node_key].last_finish)
-                candidate = TaskPlacement(
-                    task_key, node_key, start, start + duration
-                )
-                if best is None or candidate.finish < best.finish:
-                    best = candidate
-            assert best is not None  # feasible[] is never empty
-            timelines[best.resource].reserve(best.start, best.duration)
-            placements[task_key] = best
-        schedule = Schedule(workflow, continuum, placements)
-        schedule.validate_reference()
-        return schedule
 
 
 class EnergyAwareScheduler:
@@ -471,51 +363,6 @@ class EnergyAwareScheduler:
         res_of, start_of, fin_of = energy_placements(problem, slack=self.slack)
         return _build_schedule(problem, res_of, start_of, fin_of)
 
-    def schedule_reference(
-        self, workflow: Workflow, continuum: Continuum
-    ) -> Schedule:
-        """The original pure-Python placement (parity reference)."""
-        feasible = _feasible_resources(workflow, continuum)
-        ranks = HeftScheduler().upward_ranks_reference(workflow, continuum)
-        order = sorted(workflow.task_keys, key=lambda k: (-ranks[k], k))
-
-        timelines = {key: _ResourceTimeline() for key in continuum.keys}
-        placements: dict[str, TaskPlacement] = {}
-        for task_key in order:
-            task = workflow[task_key]
-            candidates: list[tuple[float, float, TaskPlacement]] = []
-            for node_key in feasible[task_key]:
-                resource = continuum[node_key]
-                ready = 0.0
-                for pred_key in workflow.predecessors(task_key):
-                    pred = placements[pred_key]
-                    arrival = pred.finish + continuum.transfer_time(
-                        workflow[pred_key].output_size, pred.resource, node_key
-                    )
-                    ready = max(ready, arrival)
-                duration = resource.execution_time(task.work)
-                start = timelines[node_key].earliest_slot(ready, duration)
-                energy = resource.busy_power * duration
-                candidates.append(
-                    (
-                        energy,
-                        start + duration,
-                        TaskPlacement(task_key, node_key, start, start + duration),
-                    )
-                )
-            best_finish = min(c[1] for c in candidates)
-            admissible = [
-                c for c in candidates if c[1] <= self.slack * best_finish
-            ]
-            energy, _, placement = min(
-                admissible, key=lambda c: (c[0], c[1], c[2].resource)
-            )
-            timelines[placement.resource].reserve(placement.start, placement.duration)
-            placements[task_key] = placement
-        schedule = Schedule(workflow, continuum, placements)
-        schedule.validate_reference()
-        return schedule
-
 
 class RoundRobinScheduler:
     """Naive baseline: tasks in topological order, resources in rotation.
@@ -538,38 +385,3 @@ class RoundRobinScheduler:
             problem = compile_problem(workflow, continuum)
         res_of, start_of, fin_of = round_robin_placements(problem)
         return _build_schedule(problem, res_of, start_of, fin_of)
-
-    def schedule_reference(
-        self, workflow: Workflow, continuum: Continuum
-    ) -> Schedule:
-        """The original pure-Python rotation (parity reference)."""
-        feasible = _feasible_resources(workflow, continuum)
-        keys = continuum.keys
-        timelines = {key: _ResourceTimeline() for key in keys}
-        placements: dict[str, TaskPlacement] = {}
-        cursor = 0
-        for task_key in workflow.topological_order():
-            task = workflow[task_key]
-            for offset in range(len(keys)):
-                node_key = keys[(cursor + offset) % len(keys)]
-                if node_key in feasible[task_key]:
-                    cursor = (cursor + offset + 1) % len(keys)
-                    break
-            else:  # pragma: no cover - _feasible_resources guarantees a hit
-                raise SchedulingError(f"no feasible resource for {task_key!r}")
-            resource = continuum[node_key]
-            ready = 0.0
-            for pred_key in workflow.predecessors(task_key):
-                pred = placements[pred_key]
-                arrival = pred.finish + continuum.transfer_time(
-                    workflow[pred_key].output_size, pred.resource, node_key
-                )
-                ready = max(ready, arrival)
-            duration = resource.execution_time(task.work)
-            start = timelines[node_key].earliest_slot(ready, duration)
-            placement = TaskPlacement(task_key, node_key, start, start + duration)
-            timelines[node_key].reserve(start, duration)
-            placements[task_key] = placement
-        schedule = Schedule(workflow, continuum, placements)
-        schedule.validate_reference()
-        return schedule

@@ -14,9 +14,19 @@ per-edge transfer times are one vectorized gather from the latency /
 bandwidth tables (IEEE-identical to ``Continuum.transfer_time``), and the
 per-task jitter factors are a single batched ``rng.lognormal`` draw —
 bit-identical to the former per-task scalar draws, since NumPy's
-Generator consumes the stream identically either way.  The original
-object-keyed loop is preserved as :func:`_simulate_reference` for the
-parity suite.
+Generator consumes the stream identically either way.  Its parity
+oracle, an object-keyed event loop, is in ``tests/oracles.py``.
+
+This event loop is not the list-scheduling replay kernel
+(:func:`repro.continuum.montecarlo._replicate`) that
+``simulate_with_failures`` and the Monte-Carlo engine share, because
+``busy_energy`` is summed in *realized* start order, which only the event
+loop produces.  Over the scheduler-parity grid of ``tests/test_compile.py``
+(612 runs: 17 pairings × 3 schedulers × jitter 0–0.7 × 3 seeds) a
+plan-order replay reproduces every placement bit for bit, but its energy
+sum differs in the last bits in 105 runs, all six ``TestSimulatorParity``
+cases among them.  The kernel's ``mtbf=None`` branch stays the
+makespan-only fast path of jitter-only Monte-Carlo cells.
 
 Passing ``telemetry=`` wraps the run in a ``simulate`` span, counts
 ``sim.events`` / ``sim.tasks``, and emits a ``sim.finish`` log event —
@@ -34,9 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.continuum.compile import CompiledProblem, compile_problem
-from repro.continuum.resources import Continuum
 from repro.continuum.scheduling import Schedule, TaskPlacement
-from repro.continuum.workflow import Workflow
 from repro.errors import ContinuumError
 from repro.telemetry import ensure
 
@@ -140,7 +148,7 @@ def _simulate_counted(
     rng: np.random.Generator,
     problem: CompiledProblem | None = None,
 ) -> tuple[ExecutionTrace, int]:
-    """Integer-id event loop; bit-identical to :func:`_simulate_reference`."""
+    """The integer-id event loop; returns the trace and the event count."""
     if problem is None:
         problem = compile_problem(schedule.workflow, schedule.continuum)
     cw, cc = problem.cw, problem.cc
@@ -266,99 +274,6 @@ def _simulate_counted(
     )
     trace = ExecutionTrace(
         placements=placements,
-        makespan=float(makespan),
-        planned_makespan=schedule.makespan,
-        busy_energy=float(busy_energy),
-    )
-    return trace, n_events
-
-
-def _simulate_reference(
-    schedule: Schedule, jitter: float, rng: np.random.Generator
-) -> tuple[ExecutionTrace, int]:
-    """The original object-keyed event loop (parity reference)."""
-    workflow: Workflow = schedule.workflow
-    continuum: Continuum = schedule.continuum
-
-    # Per-resource task order: exactly as planned.
-    queue_of: dict[str, list[str]] = {key: [] for key in continuum.keys}
-    for placement in schedule.placements:  # sorted by planned start
-        queue_of[placement.resource].append(placement.task)
-
-    durations: dict[str, float] = {}
-    for task in workflow:
-        nominal = schedule[task.key].duration
-        factor = float(rng.lognormal(mean=0.0, sigma=jitter)) if jitter else 1.0
-        durations[task.key] = nominal * factor
-
-    remaining_inputs = {
-        key: len(workflow.predecessors(key)) for key in workflow.task_keys
-    }
-    data_ready: dict[str, float] = {key: 0.0 for key in workflow.task_keys}
-    resource_free: dict[str, float] = {key: 0.0 for key in continuum.keys}
-    next_in_queue: dict[str, int] = {key: 0 for key in continuum.keys}
-
-    finished: dict[str, TaskPlacement] = {}
-    # Event heap: (time, sequence, task) for completions.  `sequence` breaks
-    # ties deterministically.
-    heap: list[tuple[float, int, str]] = []
-    sequence = 0
-
-    def try_start(resource_key: str, now: float) -> None:
-        """Start the next planned task on *resource_key* if it is ready."""
-        nonlocal sequence
-        queue = queue_of[resource_key]
-        idx = next_in_queue[resource_key]
-        if idx >= len(queue):
-            return
-        task_key = queue[idx]
-        if remaining_inputs[task_key] > 0:
-            return
-        start = max(now, resource_free[resource_key], data_ready[task_key])
-        finish = start + durations[task_key]
-        next_in_queue[resource_key] += 1
-        resource_free[resource_key] = finish
-        finished[task_key] = TaskPlacement(task_key, resource_key, start, finish)
-        sequence += 1
-        heapq.heappush(heap, (finish, sequence, task_key))
-
-    for resource_key in continuum.keys:
-        try_start(resource_key, 0.0)
-
-    n_events = 0
-    while heap:
-        n_events += 1
-        now, _, task_key = heapq.heappop(heap)
-        placement = finished[task_key]
-        for succ in workflow.successors(task_key):
-            transfer = continuum.transfer_time(
-                workflow[task_key].output_size,
-                placement.resource,
-                schedule[succ].resource,
-            )
-            data_ready[succ] = max(data_ready[succ], now + transfer)
-            remaining_inputs[succ] -= 1
-        # The finished resource may start its next task; successors' hosts
-        # may have been waiting on the data that just arrived.
-        try_start(placement.resource, now)
-        for succ in workflow.successors(task_key):
-            try_start(schedule[succ].resource, now)
-
-    if len(finished) != len(workflow):
-        unrun = sorted(set(workflow.task_keys) - set(finished))
-        raise ContinuumError(
-            f"simulation deadlocked; tasks never ran: {unrun[:5]}"
-        )
-
-    makespan = max(p.finish for p in finished.values())
-    busy_energy = sum(
-        continuum[p.resource].busy_power * p.duration
-        for p in finished.values()
-    )
-    trace = ExecutionTrace(
-        placements=tuple(
-            sorted(finished.values(), key=lambda p: (p.start, p.task))
-        ),
         makespan=float(makespan),
         planned_makespan=schedule.makespan,
         busy_energy=float(busy_energy),

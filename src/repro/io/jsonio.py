@@ -33,13 +33,13 @@ __all__ = ["ecosystem_to_dict", "ecosystem_from_dict", "save_ecosystem", "load_e
 FORMAT_VERSION = 1
 
 
-def _reference_to_dict(ref: Reference | None) -> dict[str, Any] | None:
+def _ref_to_dict(ref: Reference | None) -> dict[str, Any] | None:
     if ref is None:
         return None
     return {"citation": ref.citation, "year": ref.year, "doi": ref.doi, "url": ref.url}
 
 
-def _reference_from_dict(data: dict[str, Any] | None) -> Reference | None:
+def _ref_from_dict(data: dict[str, Any] | None) -> Reference | None:
     if data is None:
         return None
     return Reference(
@@ -90,7 +90,7 @@ def ecosystem_to_dict(
                 "primary_direction": t.primary_direction,
                 "secondary_directions": list(t.secondary_directions),
                 "description": t.description,
-                "reference": _reference_to_dict(t.reference),
+                "reference": _ref_to_dict(t.reference),
                 "institution_inferred": t.institution_inferred,
             }
             for t in tools
@@ -149,7 +149,7 @@ def ecosystem_from_dict(
                 t["primary_direction"],
                 tuple(t.get("secondary_directions", ())),
                 t.get("description", ""),
-                _reference_from_dict(t.get("reference")),
+                _ref_from_dict(t.get("reference")),
                 t.get("institution_inferred", False),
             )
             for t in data["tools"]

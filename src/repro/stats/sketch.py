@@ -1,13 +1,12 @@
 """Mergeable quantile sketches with an exact, associative merge.
 
-The Monte-Carlo engine's fixed-bucket histograms
-(:class:`repro.continuum.montecarlo.FixedHistogram`) answer per-cell
-quantile queries in O(buckets) memory, but their accuracy is pinned to a
-range chosen *before* the data arrives, and their merge story stops at
-"add the count arrays" — sound only when every partial aggregate was
-built with identical edges.  Scaling sweeps across processes and hosts
-(ROADMAP item 5) needs a summary whose partial states combine *exactly*,
-no matter how the stream was split.
+Fixed-bucket histograms answer quantile queries in O(buckets) memory,
+but their accuracy is pinned to a range chosen *before* the data
+arrives, and their merge story stops at "add the count arrays" — sound
+only when every partial aggregate was built with identical edges.
+Scaling sweeps across processes and hosts (ROADMAP item 5) needs a
+summary whose partial states combine *exactly*, no matter how the stream
+was split.
 
 :class:`QuantileSketch` is that summary.  It is a log-bucket sketch in
 the DDSketch family (Masson et al., VLDB 2019): a value ``v > 0`` lands

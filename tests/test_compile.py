@@ -1,7 +1,7 @@
 """Parity suite for the compiled scheduling core.
 
 The compiled kernels (`repro.continuum.compile`) must be **bit-identical**
-to the pure-Python reference implementations kept as ``*_reference`` —
+to the pure-Python reference implementations in ``tests/oracles.py`` —
 same placements, same starts/finishes, same tie-breaks — across a grid of
 random DAGs × fleets, requirement profiles, and scheduler knobs.  Exact
 float equality everywhere: ``==``, never ``approx``.
@@ -25,9 +25,15 @@ from repro.continuum.scheduling import (
     Schedule,
     TaskPlacement,
 )
-from repro.continuum.simulate import _simulate_reference, simulate_schedule
+from repro.continuum.simulate import simulate_schedule
 from repro.continuum.workflow import Task, Workflow, layered_workflow, random_workflow
 from repro.errors import SchedulingError
+from tests.oracles import (
+    _simulate_reference,
+    schedule_reference,
+    upward_ranks_reference,
+    validate_reference,
+)
 
 
 def _with_requirements(workflow, name):
@@ -83,7 +89,7 @@ class TestSchedulerParity:
     @pytest.mark.parametrize("workflow, continuum, scheduler", GRID)
     def test_bit_identical_schedules(self, workflow, continuum, scheduler):
         compiled = scheduler.schedule(workflow, continuum)
-        reference = scheduler.schedule_reference(workflow, continuum)
+        reference = schedule_reference(scheduler, workflow, continuum)
         for key in workflow.task_keys:
             assert compiled[key] == reference[key]  # exact floats, same node
 
@@ -113,7 +119,7 @@ class TestSchedulerParity:
         with pytest.raises(SchedulingError) as compiled_err:
             HeftScheduler().schedule(wf, cont)
         with pytest.raises(SchedulingError) as reference_err:
-            HeftScheduler().schedule_reference(wf, cont)
+            schedule_reference(HeftScheduler(), wf, cont)
         assert str(compiled_err.value) == str(reference_err.value)
 
 
@@ -124,7 +130,7 @@ class TestRankParity:
     def test_upward_ranks_exact(self, workflow):
         cont = default_continuum(n_hpc=2, n_cloud=3, n_edge=4, seed=3)
         heft = HeftScheduler()
-        assert heft.upward_ranks(workflow, cont) == heft.upward_ranks_reference(
+        assert heft.upward_ranks(workflow, cont) == upward_ranks_reference(
             workflow, cont
         )
 
@@ -144,7 +150,7 @@ class TestValidateParity:
         with pytest.raises(SchedulingError) as vec_err:
             schedule.validate()
         with pytest.raises(SchedulingError) as ref_err:
-            schedule.validate_reference()
+            validate_reference(schedule)
         assert str(vec_err.value) == str(ref_err.value)
 
     def test_valid_schedules_pass_both(self, continuum):
@@ -152,7 +158,7 @@ class TestValidateParity:
         for _, scheduler in _schedulers():
             schedule = scheduler.schedule(wf, continuum)
             schedule.validate()
-            schedule.validate_reference()
+            validate_reference(schedule)
 
     def test_overlap_detected_identically(self, continuum):
         wf = Workflow("w", [Task("a", 1.0), Task("b", 1.0)])
@@ -199,6 +205,44 @@ class TestValidateParity:
                 {"a": TaskPlacement("a", "hpc-00", 2.0, 1.0)},
             )
         )
+
+    @staticmethod
+    def _first_violations(schedule):
+        outcomes = []
+        for check in (schedule.validate, lambda: validate_reference(schedule)):
+            try:
+                check()
+                outcomes.append(None)
+            except SchedulingError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("edge_probability", [0.0, 0.2])
+    def test_first_of_many_violations_matches(self, seed, edge_probability):
+        # Perturbed plans carry several violations, in a shuffled
+        # placement-map order; both validators must name the same first
+        # one.  Edgeless plans moved between resources carry overlaps only.
+        rng = np.random.default_rng(seed)
+        wf = random_workflow(20, seed=seed, edge_probability=edge_probability)
+        cont = default_continuum(n_hpc=1, n_cloud=2, n_edge=2, seed=seed)
+        plan = HeftScheduler().schedule(wf, cont)
+        placements = {}
+        for i in rng.permutation(len(wf)):
+            p = plan[wf.task_keys[i]]
+            start, finish, resource = p.start, p.finish, p.resource
+            kind = rng.integers(8) if edge_probability else 2
+            if kind == 0:
+                start -= rng.uniform(0.0, 2.0 * p.duration)
+            elif kind == 1:
+                finish, start = start, finish
+            elif kind == 2:
+                resource = cont.keys[rng.integers(len(cont))]
+            placements[p.task] = TaskPlacement(p.task, resource, start, finish)
+        vectorized, reference = self._first_violations(
+            Schedule(wf, cont, placements)
+        )
+        assert vectorized == reference
 
 
 class TestSimulatorParity:

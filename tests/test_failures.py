@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.continuum.failures import _FailureClock, simulate_with_failures
+from repro.continuum.failures import simulate_with_failures
+from repro.continuum.montecarlo import SimulationContext, replicate_once
 from repro.continuum.resources import default_continuum
-from repro.continuum.scheduling import HeftScheduler
-from repro.continuum.workflow import layered_workflow, random_workflow
+from repro.continuum.scheduling import HeftScheduler, Schedule, TaskPlacement
+from repro.continuum.simulate import simulate_schedule
+from repro.continuum.workflow import Task, Workflow, layered_workflow, random_workflow
 from repro.errors import ContinuumError
+from repro.telemetry import Telemetry
+from tests.oracles import _FailureClock, _replay
 
 
 @pytest.fixture(scope="module")
@@ -266,4 +270,92 @@ class TestValidation:
             simulate_with_failures(
                 schedule, mtbf=1e-6, repair_time=0.0,
                 policy="restart", seed=1, max_attempts=10,
+            )
+
+
+class TestOracleParity:
+    """The kernel-backed replay against the string-keyed replay it
+    replaced: same placements, counts, lost work and telemetry counters,
+    bit for bit."""
+
+    @staticmethod
+    def _assert_matches(schedule, *, mtbf, repair_time, policy, seed,
+                        max_attempts=50):
+        tel = Telemetry()
+        trace = simulate_with_failures(
+            schedule, mtbf=mtbf, repair_time=repair_time, policy=policy,
+            seed=seed, max_attempts=max_attempts, telemetry=tel,
+        )
+        expected, injected, events = _replay(
+            schedule, mtbf, repair_time, policy,
+            np.random.default_rng(seed), max_attempts,
+        )
+        assert trace.placements == expected.placements
+        assert trace.makespan == expected.makespan
+        assert trace.n_failures == expected.n_failures
+        assert trace.n_migrations == expected.n_migrations
+        assert trace.lost_work == expected.lost_work
+        counter = tel.metrics.counter
+        assert counter("sim.failures_injected").value == injected
+        assert counter("sim.events").value == events
+        killed = [e for e in tel.log.events() if e.event == "sim.failure"]
+        assert len(killed) == expected.n_failures
+        assert sum(e.fields["lost"] for e in killed) == expected.lost_work
+        return injected - expected.n_failures  # idle reboots
+
+    @pytest.mark.parametrize("policy", ["restart", "migrate"])
+    def test_matches_string_keyed_replay(self, schedule, policy):
+        idle_reboots = 0
+        for mtbf in (1.5, 2.0, 10.0, 60.0):
+            for seed in range(4):
+                idle_reboots += self._assert_matches(
+                    schedule, mtbf=mtbf, repair_time=0.5, policy=policy,
+                    seed=seed,
+                )
+        assert idle_reboots > 0  # the idle-skip count was exercised
+
+    def test_matches_under_frequent_migration(self):
+        wf = random_workflow(30, seed=8, output_range=(0.0, 0.05))
+        continuum = default_continuum(n_hpc=3, n_cloud=0, n_edge=0, seed=8)
+        schedule = HeftScheduler().schedule(wf, continuum)
+        for seed in range(3):
+            self._assert_matches(
+                schedule, mtbf=0.05, repair_time=5.0, policy="migrate",
+                seed=seed, max_attempts=500,
+            )
+
+
+class TestNonTopologicalPlan:
+    """An unvalidated plan that starts ``b`` at t=0 on ``cloud-00``, ahead
+    of its predecessor ``a`` on ``hpc-00``."""
+
+    @pytest.fixture
+    def plan(self):
+        wf = Workflow(
+            "w",
+            [Task("a", 1.0, output_size=2.0), Task("b", 1.0)],
+            [("a", "b")],
+        )
+        continuum = default_continuum(n_hpc=1, n_cloud=1, n_edge=1, seed=5)
+        return Schedule(
+            wf, continuum,
+            {
+                "a": TaskPlacement("a", "hpc-00", 1.0, 2.0),
+                "b": TaskPlacement("b", "cloud-00", 0.0, 1.0),
+            },
+        )
+
+    def test_event_loop_follows_the_data(self, plan):
+        # The event simulator starts b only once a's output has arrived.
+        assert simulate_schedule(plan).makespan == pytest.approx(3.77, abs=5e-3)
+
+    def test_failure_replay_names_the_late_predecessor(self, plan):
+        with pytest.raises(ContinuumError, match="'b' before its predecessor 'a'"):
+            simulate_with_failures(plan, mtbf=1e9, repair_time=0.0, seed=0)
+
+    @pytest.mark.parametrize("mtbf", [None, 1e9])
+    def test_monte_carlo_replay_names_the_late_predecessor(self, plan, mtbf):
+        with pytest.raises(ContinuumError, match="'b' before its predecessor 'a'"):
+            replicate_once(
+                SimulationContext(plan), mtbf=mtbf, rng=np.random.default_rng(0)
             )

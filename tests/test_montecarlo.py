@@ -5,7 +5,6 @@ import pytest
 
 from repro.continuum import (
     CellStats,
-    FixedHistogram,
     HeftScheduler,
     RunningStat,
     SimulationContext,
@@ -120,48 +119,6 @@ class TestRunningStat:
         stat.add(4.0)
         assert stat.mean == 4.0
         assert stat.variance == 0.0
-
-
-class TestFixedHistogram:
-    def test_quantiles_track_numpy_within_bucket_width(self):
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0.0, 100.0, size=5000)
-        hist = FixedHistogram(0.0, 100.0, 200)
-        for v in values:
-            hist.add(float(v))
-        width = 100.0 / 200
-        for q in (0.5, 0.9, 0.99):
-            assert hist.quantile(q) == pytest.approx(
-                np.quantile(values, q), abs=2 * width
-            )
-
-    def test_out_of_range_clamps_to_edge_buckets(self):
-        hist = FixedHistogram(0.0, 10.0, 10)
-        hist.add(-5.0)
-        hist.add(50.0)
-        assert hist.counts[0] == 1
-        assert hist.counts[-1] == 1
-        assert hist.count == 2
-
-    def test_log_buckets(self):
-        hist = FixedHistogram(0.1, 100.0, 30, log=True)
-        hist.add(1.0)
-        assert hist.count == 1
-        assert 0.1 <= hist.quantile(0.5) <= 100.0
-
-    def test_validation(self):
-        with pytest.raises(MonteCarloError):
-            FixedHistogram(1.0, 1.0, 10)
-        with pytest.raises(MonteCarloError):
-            FixedHistogram(0.0, 1.0, 0)
-        with pytest.raises(MonteCarloError):
-            FixedHistogram(0.0, 1.0, 10, log=True)
-        hist = FixedHistogram(0.0, 1.0, 10)
-        with pytest.raises(MonteCarloError):
-            hist.quantile(0.5)  # empty
-        hist.add(0.5)
-        with pytest.raises(MonteCarloError):
-            hist.quantile(1.5)
 
 
 class TestSweepSpecValidation:
@@ -631,41 +588,6 @@ class TestRunningStatMerge:
         clone = RunningStat.from_dict(stat.to_dict())
         assert clone.to_dict() == stat.to_dict()
         assert clone.variance == stat.variance
-
-
-class TestFixedHistogramClampEdges:
-    """Out-of-range mass answers quantiles with the exact range edge —
-    a constant out-of-range stream must not spread across a bucket."""
-
-    def test_all_mass_in_overflow_returns_edge(self):
-        hist = FixedHistogram(0.0, 10.0, 10)
-        for _ in range(100):
-            hist.add(50.0)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert hist.quantile(q) == 10.0
-
-    def test_all_mass_in_underflow_returns_edge(self):
-        hist = FixedHistogram(0.0, 10.0, 10)
-        for _ in range(100):
-            hist.add(-5.0)
-        for q in (0.0, 0.5, 1.0):
-            assert hist.quantile(q) == 0.0
-
-    def test_mixed_mass_keeps_interior_interpolation(self):
-        hist = FixedHistogram(0.0, 10.0, 10)
-        for v in (1.5, 2.5, 3.5, 4.5):
-            hist.add(v)
-        hist.add(99.0)  # one clamped-high observation
-        assert hist.clamped_high == 1
-        assert hist.quantile(1.0) == 10.0  # inside the clamped tail
-        assert 0.0 < hist.quantile(0.4) < 10.0
-
-    def test_in_range_values_do_not_count_as_clamped(self):
-        hist = FixedHistogram(0.0, 10.0, 10)
-        hist.add(0.0)
-        hist.add(10.0)
-        assert hist.clamped_low == 0
-        assert hist.clamped_high == 0
 
 
 class TestCellAggregate:

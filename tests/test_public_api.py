@@ -7,11 +7,13 @@ and the doctest examples embedded in docstrings must actually run.
 
 import doctest
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import repro
+import repro.continuum
 
 PUBLIC_MODULES = sorted(
     name
@@ -32,6 +34,17 @@ DOCTEST_MODULES = [
     "repro.telemetry",
     "repro.telemetry.tracer",
 ]
+
+
+CONTINUUM_MODULES = ["repro.continuum"] + sorted(
+    name
+    for _, name, _ in pkgutil.walk_packages(
+        repro.continuum.__path__, prefix="repro.continuum."
+    )
+)
+
+#: Reference implementations live in tests/oracles.py, never in src/.
+ORACLE_ONLY_NAMES = {"_replay", "_FailureClock"}
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
@@ -89,3 +102,22 @@ def test_exception_hierarchy_is_catchable():
     for name in errors_module.__all__:
         exc_type = getattr(errors_module, name)
         assert issubclass(exc_type, ReproError)
+
+
+@pytest.mark.parametrize("module_name", CONTINUUM_MODULES)
+def test_no_reference_implementations_in_continuum(module_name):
+    module = importlib.import_module(module_name)
+    names = []
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module_name:
+            continue  # imported, not defined here
+        names.append(name)
+        if inspect.isclass(obj):
+            names += [f"{name}.{attr}" for attr in vars(obj)]
+    found = [
+        qualname
+        for qualname in names
+        if (leaf := qualname.rsplit(".", 1)[-1]) in ORACLE_ONLY_NAMES
+        or leaf.endswith("_reference")
+    ]
+    assert not found, f"{module_name} defines reference code {found}"

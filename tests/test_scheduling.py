@@ -152,9 +152,9 @@ class TestScheduleCaching:
 
 class TestResourceTimelineApi:
     def test_no_private_intervals_attribute(self):
-        from repro.continuum.scheduling import _ResourceTimeline
+        from repro.continuum.compile import ResourceTimeline
 
-        timeline = _ResourceTimeline()
+        timeline = ResourceTimeline()
         assert not hasattr(timeline, "_intervals")
         timeline.reserve(1.0, 2.0)
         assert timeline.last_finish == 3.0

@@ -90,7 +90,7 @@ class TestBatchedJitter:
     def test_trace_matches_reference_loop(self, schedule, jitter):
         import numpy as np
 
-        from repro.continuum.simulate import _simulate_reference
+        from tests.oracles import _simulate_reference
 
         compiled = simulate_schedule(schedule, jitter=jitter, seed=9)
         reference, _ = _simulate_reference(
