@@ -9,7 +9,7 @@ replications per grid cell.  Paying the simulators' per-call setup (object
 construction, string-keyed lookups, validation) thousands of times makes
 that sweep orders of magnitude slower than the arithmetic it performs.
 
-This module is the batched engine, in four layers:
+This module is the batched engine, in five layers:
 
 1. **Per-replication speedup** — :class:`SimulationContext` hoists every
    schedule invariant out of the replication loop: integer-indexed
@@ -21,35 +21,38 @@ This module is the batched engine, in four layers:
    it, its ``mtbf=None`` branch is the makespan-only fast path, and
    ``simulate_schedule`` keeps its event loop for the reason given in
    :mod:`repro.continuum.simulate`.
-2. **Work-stealing process parallelism** — :func:`run_sweep` feeds a
-   shared round queue to a ``ProcessPoolExecutor`` (the pure-Python
-   replay loop is GIL-bound, so threads cannot scale it).  Workers
+2. **The round engine** — :func:`run_sweep` runs the grid on
+   :mod:`repro.stats.rounds`, the package's one adaptive round engine
+   (stat sweeps run on it too).  The engine feeds a shared round queue
+   to a ``ProcessPoolExecutor`` (the pure-Python replay loop is
+   GIL-bound, so threads cannot scale it) and dispatches the next
+   pending round to whichever worker frees up, so a cell that finishes
+   (or stops) early releases its worker to the slow cells.  Workers
    receive the schedules once (pool initializer), build contexts lazily,
-   and return raw per-replication metric tuples; the parent dispatches
-   the next pending round to whichever worker frees up, so a cell that
-   finishes (or stops) early releases its worker to the slow cells
-   instead of idling behind a static chunk assignment.
+   and return raw per-replication metric tuples (:func:`_worker_chunk`).
 3. **Adaptive replication (sequential stopping)** — with
    ``SweepSpec.target_ci`` set, each cell runs replication *rounds*
    (``chunk_size`` replications each) only until the 95% confidence
    half-width of its primary metric's mean falls to ``target_ci``
-   relative to that mean, capped at ``max_replications``.  Low-variance
-   cells stop after one round; only genuinely noisy cells spend the full
-   budget — a large reduction in simulations at equal statistical
-   precision (gated in ``benchmarks/test_bench_montecarlo.py``).
-4. **Streaming, mergeable aggregation** — the parent folds replications
-   into :class:`RunningStat` (Welford mean/variance, min/max) and
+   relative to that mean, capped at ``max_replications``
+   (:func:`_stop_met`, the stop rule this module gives the engine).
+   Low-variance cells stop after one round; only genuinely noisy cells
+   spend the full budget — a large reduction in simulations at equal
+   statistical precision (gated in ``benchmarks/test_bench_montecarlo.py``).
+4. **Streaming, mergeable aggregation** — the engine hands each round
+   to this module's fold, which adds the replications to
+   :class:`RunningStat` (Welford mean/variance, min/max) and
    :class:`~repro.stats.sketch.QuantileSketch` (log-bucket quantile
    sketch with an *exact, associative* merge) accumulators per grid
    cell (:class:`CellAggregate`), so memory stays O(buckets) — constant
    in the replication count — and partial aggregates from independent
    processes or hosts combine deterministically.
-5. **Integration** — grid cells are content-addressed: an
+5. **Integration** — the engine content-addresses grid cells (an
    :class:`~repro.pipeline.cache.ArtifactCache` hit skips every
-   simulation of an already-computed cell; telemetry spans/counters and
-   optional :class:`~repro.obs.RunRegistry` recording ride along; the
-   ``repro sweep`` CLI command and the serve layer's ``POST /sweeps``
-   drive the whole thing through one spec builder.
+   simulation of an already-computed cell), opens the telemetry span,
+   bumps the counters and writes the :class:`~repro.obs.RunRegistry`
+   record; the ``repro sweep`` CLI command and the serve layer's
+   ``POST /sweeps`` drive the whole thing through one spec builder.
 
 Determinism contract
 --------------------
@@ -79,8 +82,6 @@ equivalent scalar sequence).
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from operator import ne
 from typing import Any, Mapping
@@ -97,8 +98,15 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.workflow import Workflow
 from repro.errors import ContinuumError, MonteCarloError
+from repro.stats.rounds import (
+    Rounds,
+    SweepOutcome,
+    Unit,
+    Z_95,
+    round_rng,
+    run_rounds,
+)
 from repro.stats.sketch import QuantileSketch
-from repro.telemetry import ensure
 
 __all__ = [
     "ENGINE_VERSION",
@@ -130,10 +138,6 @@ ENGINE_VERSION = "2"
 
 #: Relative-accuracy guarantee of every cell's quantile sketches.
 SKETCH_ALPHA = 0.01
-
-#: Normal-approximation z for the 95% confidence half-width the
-#: sequential-stopping rule targets.
-_CI_Z = 1.959963984540054
 
 #: Scheduler registry the sweep grid selects from by name.
 SCHEDULERS: dict[str, Any] = {
@@ -345,12 +349,16 @@ def _validate_cell_params(
 ) -> None:
     if mtbf is not None and not mtbf > 0:
         raise MonteCarloError("mtbf must be > 0 (or None for no failures)")
-    if repair_time < 0:
-        raise MonteCarloError("repair_time must be >= 0")
+    if not (math.isfinite(repair_time) and repair_time >= 0):
+        raise MonteCarloError(
+            f"repair_time must be a finite value >= 0, got {repair_time}"
+        )
     if policy not in ("restart", "migrate"):
         raise MonteCarloError(f"unknown policy {policy!r}")
-    if jitter < 0:
-        raise MonteCarloError("jitter must be >= 0")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise MonteCarloError(
+            f"jitter must be a finite value >= 0, got {jitter}"
+        )
     if max_attempts < 1:
         raise MonteCarloError("max_attempts must be >= 1")
 
@@ -837,6 +845,9 @@ class SweepSpec:
                 )
         if not self.mtbfs or not self.jitters or not self.policies:
             raise MonteCarloError("mtbfs, jitters, and policies must be non-empty")
+        cell_ids = [cell.cell_id for cell in self.cells()]
+        if len(set(cell_ids)) != len(cell_ids):
+            raise MonteCarloError("grid axes must not repeat a value")
         if self.replications < 1:
             raise MonteCarloError("replications must be >= 1")
         if self.chunk_size < 1:
@@ -908,38 +919,11 @@ class SweepSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of :func:`run_sweep`.
+class SweepResult(SweepOutcome):
+    """Outcome of :func:`run_sweep`: one :class:`CellStats` per grid cell
+    (fields as in :class:`~repro.stats.rounds.SweepOutcome`)."""
 
-    ``computed``/``cached`` partition the grid's cell ids by whether
-    their replications ran in this call or came from the artifact cache;
-    ``n_replications_run`` counts the simulations actually executed.
-    ``n_replications_budget`` is what a fixed sweep at the replication
-    cap would have executed for the same computed cells — the difference
-    is the adaptive engine's savings (zero by construction in fixed
-    mode, where run == budget).
-    """
-
-    cells: tuple[CellStats, ...]
-    computed: tuple[str, ...]
-    cached: tuple[str, ...]
-    n_replications_run: int
-    n_replications_budget: int = 0
-
-    @property
-    def n_replications_saved(self) -> int:
-        return self.n_replications_budget - self.n_replications_run
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine_version": ENGINE_VERSION,
-            "cells": [cell.to_dict() for cell in self.cells],
-            "computed": list(self.computed),
-            "cached": list(self.cached),
-            "n_replications_run": self.n_replications_run,
-            "n_replications_budget": self.n_replications_budget,
-        }
+    engine_version = ENGINE_VERSION
 
 
 # -- request construction ---------------------------------------------------------
@@ -1066,25 +1050,6 @@ def _cell_identity(spec: SweepSpec, cell: CellSpec,
     }
 
 
-def _cell_entropy(identity: Mapping[str, Any]) -> int:
-    """The SeedSequence entropy word a cell's replications derive from.
-
-    Content-addressed: a cell's streams depend only on its own identity,
-    never on its position in the grid, so identical cells in different
-    sweeps produce identical replications (and cache hits are sound).
-    """
-    from repro.pipeline.cache import stable_digest
-
-    return int(stable_digest(identity)[:32], 16)
-
-
-def _replication_rng(entropy: int, rep_index: int) -> np.random.Generator:
-    """The dedicated generator for replication *rep_index* of a cell."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(rep_index,))
-    )
-
-
 # -- worker protocol --------------------------------------------------------------
 
 
@@ -1093,9 +1058,7 @@ class _CellTask:
     """One cell's work order, as shipped to (or run by) a worker."""
 
     schedule_index: int
-    mtbf: float | None
-    jitter: float
-    policy: str
+    cell: CellSpec
     repair_time: float
     max_attempts: int
     entropy: int
@@ -1141,14 +1104,17 @@ def _worker_chunk(
             _WORKER_PROBLEMS[pairing] = problem
         context = SimulationContext(schedule, problem)
         _WORKER_CONTEXTS[task.schedule_index] = context
-    migrate = task.policy == "migrate"
+    cell = task.cell
+    migrate = cell.policy == "migrate"
     return [
         _summarize(context, _replicate(
-            context, task.mtbf, task.repair_time, migrate, task.jitter,
-            task.max_attempts, _replication_rng(task.entropy, rep),
+            context, cell.mtbf, task.repair_time, migrate, cell.jitter,
+            task.max_attempts, round_rng(task.entropy, rep),
         )).as_tuple()
         for rep in range(start, start + count)
     ]
+
+
 
 
 # -- the sweep driver --------------------------------------------------------------
@@ -1199,210 +1165,98 @@ def run_sweep(
     SweepResult
         Per-cell streaming statistics plus the computed/cached split.
     """
-    if workers < 0:
-        raise MonteCarloError("workers must be >= 0")
-    tel = ensure(telemetry)
-    if not tel.enabled:
-        return _run_sweep(spec, workers, cache, tel, registry, steal_seed)
-    cells = spec.cells()
-    with tel.tracer.span(
-        "sweep",
-        cells=len(cells),
-        replications=spec.replication_cap,
-        workers=workers,
-        adaptive=spec.adaptive,
-    ) as span:
-        result = _run_sweep(spec, workers, cache, tel, registry, steal_seed)
-        span.tags.update(
-            computed=len(result.computed),
-            cached=len(result.cached),
-        )
-        tel.log.info(
-            "sweep.finish",
-            cells=len(result.cells),
-            computed=len(result.computed),
-            cached=len(result.cached),
-            replications_run=result.n_replications_run,
-        )
-    return result
-
-
-def _run_sweep(
-    spec: SweepSpec, workers: int, cache, tel, registry, steal_seed
-) -> SweepResult:
     from repro.pipeline.cache import stable_digest
 
-    cells = spec.cells()
-    workflow_of = {w.name: w for w in spec.workflows}
-    fingerprints = {
-        w.name: _workflow_fingerprint(w) for w in spec.workflows
-    }
+    if workers < 0:
+        raise MonteCarloError("workers must be >= 0")
+    fingerprints = {w.name: _workflow_fingerprint(w) for w in spec.workflows}
     continuum_fp = _continuum_fingerprint(spec.continuum)
+    # The cache key pairs the cell's stream identity with the replication
+    # *plan*: a fixed count, or the adaptive stopping rule (whose round
+    # size shapes where stop checks happen, hence the result).
+    plan = spec.replication_plan()
+    units = []
+    for cell in spec.cells():
+        identity = _cell_identity(spec, cell, fingerprints, continuum_fp)
+        key = stable_digest("montecarlo-cell", identity, plan)
+        units.append(Unit(cell.cell_id, key, identity, cell))
+    meta: dict[str, Any] = {"seed": spec.seed,
+                            "replications": spec.replications,
+                            "workers": workers}
+    if spec.adaptive:
+        meta["target_ci"] = spec.target_ci
+        meta["max_replications"] = spec.replication_cap
+        meta["primary_metric"] = spec.primary_metric
+    return run_rounds(
+        _SweepRounds(spec), units,
+        cap=spec.replication_cap, round_size=spec.chunk_size,
+        adaptive=spec.adaptive, meta=meta, cache=cache,
+        telemetry=telemetry, registry=registry, workers=workers,
+        steal_seed=steal_seed,
+    )
 
-    # Content-addressed cache lookup per cell.  The key pairs the cell's
-    # stream identity with the replication *plan*: a fixed count, or the
-    # adaptive stopping rule (whose round size shapes where stop checks
-    # happen, hence the result).
-    identities = {
-        cell.cell_id: _cell_identity(spec, cell, fingerprints, continuum_fp)
-        for cell in cells
-    }
-    replication_plan = spec.replication_plan()
-    cache_keys = {
-        cell.cell_id: stable_digest(
-            "montecarlo-cell",
-            identities[cell.cell_id],
-            replication_plan,
-        )
-        for cell in cells
-    }
-    stats_of: dict[str, CellStats] = {}
-    cached_ids: list[str] = []
-    misses: list[CellSpec] = []
-    for cell in cells:
-        payload = (
-            cache.get(cache_keys[cell.cell_id]) if cache is not None else None
-        )
-        if payload is not None:
-            stats_of[cell.cell_id] = CellStats.from_dict(payload)
-            cached_ids.append(cell.cell_id)
-        else:
-            misses.append(cell)
 
-    replications_run = 0
-    if misses:
+class _SweepRounds(Rounds):
+    """Grid cells on the round engine: a round is ``chunk_size``
+    replications, folded into the cell's :class:`CellAggregate`."""
+
+    span, prefix, units, draws = "sweep", "mc", "cells", "replications"
+    result = SweepResult
+
+    def __init__(self, spec: SweepSpec) -> None:
+        self.spec = spec
+
+    def decode(self, unit: Unit, payload: Mapping[str, Any]) -> CellStats:
+        return CellStats.from_dict(payload)
+
+    def prepare(self, misses: list[Unit], telemetry):
         # Schedule once per (workflow, scheduler) pair actually needed;
         # compile each workflow × continuum pairing exactly once and
         # share it across every scheduler placing on it.
-        schedules: list[Schedule] = []
+        spec = self.spec
+        workflow_of = {w.name: w for w in spec.workflows}
+        self.schedules = schedules = []
         schedule_index: dict[tuple[str, str], int] = {}
         problems: dict[str, CompiledProblem] = {}
-        for cell in misses:
+        self.tasks: list[_CellTask] = []
+        for unit in misses:
+            cell = unit.spec
             pair = (cell.workflow, cell.scheduler)
             if pair not in schedule_index:
-                scheduler = SCHEDULERS[cell.scheduler]()
-                problem = problems.get(cell.workflow)
-                if problem is None:
-                    problem = compile_problem(
-                        workflow_of[cell.workflow], spec.continuum
+                workflow = workflow_of[cell.workflow]
+                if cell.workflow not in problems:
+                    problems[cell.workflow] = compile_problem(
+                        workflow, spec.continuum
                     )
-                    problems[cell.workflow] = problem
                 schedule_index[pair] = len(schedules)
-                schedules.append(
-                    scheduler.schedule(
-                        workflow_of[cell.workflow], spec.continuum,
-                        telemetry=tel if tel.enabled else None,
-                        problem=problem,
-                    )
-                )
+                schedules.append(SCHEDULERS[cell.scheduler]().schedule(
+                    workflow, spec.continuum,
+                    telemetry=telemetry if telemetry.enabled else None,
+                    problem=problems[cell.workflow],
+                ))
+            self.tasks.append(_CellTask(
+                schedule_index[pair], cell, spec.repair_time,
+                spec.max_attempts, unit.entropy,
+            ))
+        self.aggregates = [CellAggregate() for _ in misses]
+        return _worker_chunk, _worker_init, (schedules, self.tasks)
 
-        tasks = [
-            _CellTask(
-                schedule_index=schedule_index[(cell.workflow, cell.scheduler)],
-                mtbf=cell.mtbf,
-                jitter=cell.jitter,
-                policy=cell.policy,
-                repair_time=spec.repair_time,
-                max_attempts=spec.max_attempts,
-                entropy=_cell_entropy(identities[cell.cell_id]),
-            )
-            for cell in misses
-        ]
-        progresses = [
-            _CellProgress(
-                cell=cell,
-                planned=schedules[
-                    schedule_index[(cell.workflow, cell.scheduler)]
-                ].makespan,
-                cap=spec.replication_cap,
-            )
-            for cell in misses
-        ]
-        rounds_run = _execute_cells(
-            spec, schedules, tasks, progresses, workers, steal_seed
+    def fold(self, index: int, values) -> None:
+        aggregate = self.aggregates[index]
+        for row in values:
+            aggregate.add(row)
+
+    def stop(self, index: int, folded: int) -> bool:
+        return _stop_met(self.spec, self.aggregates[index])
+
+    def finish(self, index: int, folded: int) -> CellStats:
+        task = self.tasks[index]
+        return CellStats(
+            cell=task.cell,
+            replications=folded,
+            planned_makespan=self.schedules[task.schedule_index].makespan,
+            metrics=self.aggregates[index].summaries(),
         )
-
-        for cell, progress in zip(misses, progresses):
-            stats = CellStats(
-                cell=cell,
-                replications=progress.folded,
-                planned_makespan=progress.planned,
-                metrics=progress.aggregate.summaries(),
-            )
-            stats_of[cell.cell_id] = stats
-            replications_run += progress.folded
-            if cache is not None:
-                cache.store(cache_keys[cell.cell_id], stats.to_dict())
-
-    budget = spec.replication_cap * len(misses)
-    result = SweepResult(
-        cells=tuple(stats_of[cell.cell_id] for cell in cells),
-        computed=tuple(cell.cell_id for cell in misses),
-        cached=tuple(cached_ids),
-        n_replications_run=replications_run,
-        n_replications_budget=budget,
-    )
-    if tel.enabled:
-        metrics = tel.metrics
-        metrics.counter("mc.replications").inc(replications_run)
-        metrics.counter("mc.cells_computed").inc(len(result.computed))
-        metrics.counter("mc.cells_cached").inc(len(result.cached))
-        if misses:
-            metrics.counter("mc.rounds").inc(rounds_run)
-        if spec.adaptive:
-            metrics.counter("mc.replications_saved").inc(
-                result.n_replications_saved
-            )
-    if registry is not None:
-        from repro.obs import build_sweep_record
-
-        meta: dict[str, Any] = {
-            "seed": spec.seed,
-            "replications": spec.replications,
-            "workers": workers,
-        }
-        if spec.adaptive:
-            meta["target_ci"] = spec.target_ci
-            meta["max_replications"] = spec.replication_cap
-            meta["primary_metric"] = spec.primary_metric
-        registry.record(
-            build_sweep_record(
-                result,
-                telemetry=tel if tel.enabled else None,
-                config_digest=stable_digest(
-                    sorted(cache_keys.values())
-                ),
-                meta=meta,
-            )
-        )
-    return result
-
-
-# -- the work-stealing round dispatcher --------------------------------------------
-
-
-class _CellProgress:
-    """Parent-side fold state for one computed grid cell.
-
-    ``folded`` counts the replications merged into the aggregate so far —
-    always a prefix of the cell's replication stream.  Rounds that
-    complete out of order wait in ``buffer`` (keyed by start index) until
-    every predecessor has folded, which pins the floating-point fold
-    order no matter which worker ran which round.
-    """
-
-    __slots__ = ("cell", "planned", "cap", "aggregate", "folded",
-                 "buffer", "done", "rounds")
-
-    def __init__(self, cell: CellSpec, planned: float, cap: int) -> None:
-        self.cell = cell
-        self.planned = planned
-        self.cap = cap
-        self.aggregate = CellAggregate()
-        self.folded = 0
-        self.buffer: dict[int, list[tuple[float, float, int, int, float]]] = {}
-        self.done = False
-        self.rounds = 0
 
 
 def _stop_met(spec: SweepSpec, aggregate: CellAggregate) -> bool:
@@ -1418,100 +1272,5 @@ def _stop_met(spec: SweepSpec, aggregate: CellAggregate) -> bool:
     stat = aggregate.stats[spec.primary_metric]
     if stat.count < 2:
         return False
-    half_width = _CI_Z * stat.std / math.sqrt(stat.count)
+    half_width = Z_95 * stat.std / math.sqrt(stat.count)
     return half_width <= spec.target_ci * abs(stat.mean)
-
-
-def _execute_cells(
-    spec: SweepSpec,
-    schedules: list[Schedule],
-    tasks: list[_CellTask],
-    progresses: list[_CellProgress],
-    workers: int,
-    steal_seed: int | None,
-) -> int:
-    """Drain every cell's replication rounds through one shared queue.
-
-    Fixed mode enqueues the whole plan upfront, round-major, so the early
-    rounds of every cell reach the pool first.  Adaptive mode keeps
-    exactly one round outstanding per cell: the next round joins the
-    queue only after its predecessor folds and :func:`_stop_met` says
-    continue — which is what makes stopping decisions independent of
-    worker count and queue order.  Workers pull whatever round is next
-    (no static assignment), so a cell that stops early frees its worker
-    for the slow cells.  Returns the number of rounds executed.
-    """
-    chunk = spec.chunk_size
-    pending: deque[tuple[int, int, int]] = deque()
-    if spec.adaptive:
-        for task_index, progress in enumerate(progresses):
-            pending.append((task_index, 0, min(chunk, progress.cap)))
-    else:
-        for start in range(0, spec.replication_cap, chunk):
-            for task_index, progress in enumerate(progresses):
-                if start < progress.cap:
-                    pending.append(
-                        (task_index, start, min(chunk, progress.cap - start))
-                    )
-    steal_rng = (
-        np.random.default_rng(steal_seed) if steal_seed is not None else None
-    )
-    rounds_run = 0
-
-    def receive(
-        task_index: int,
-        start: int,
-        values: list[tuple[float, float, int, int, float]],
-    ) -> None:
-        nonlocal rounds_run
-        progress = progresses[task_index]
-        progress.buffer[start] = values
-        while progress.folded in progress.buffer:
-            rows = progress.buffer.pop(progress.folded)
-            for row in rows:
-                progress.aggregate.add(row)
-            progress.folded += len(rows)
-            progress.rounds += 1
-            rounds_run += 1
-            if progress.folded >= progress.cap:
-                progress.done = True
-            elif spec.adaptive:
-                if _stop_met(spec, progress.aggregate):
-                    progress.done = True
-                else:
-                    pending.append((
-                        task_index,
-                        progress.folded,
-                        min(chunk, progress.cap - progress.folded),
-                    ))
-
-    def take() -> tuple[int, int, int]:
-        if steal_rng is None or len(pending) == 1:
-            return pending.popleft()
-        index = int(steal_rng.integers(len(pending)))
-        item = pending[index]
-        del pending[index]
-        return item
-
-    if workers > 1:
-        in_flight: dict[Any, tuple[int, int, int]] = {}
-        limit = workers * 2
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(schedules, tasks),
-        ) as pool:
-            while pending or in_flight:
-                while pending and len(in_flight) < limit:
-                    item = take()
-                    in_flight[pool.submit(_worker_chunk, item)] = item
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    task_index, start, _ = in_flight.pop(future)
-                    receive(task_index, start, future.result())
-    else:
-        _worker_init(schedules, tasks)
-        while pending:
-            item = take()
-            receive(item[0], item[1], _worker_chunk(item))
-    return rounds_run

@@ -7,36 +7,34 @@ never reached a usable level.  The study's sensitivity analyses (seed ×
 parameter ablations over the Table 1/2 shares and the Fig. 2–4
 distributions) ask the same question for *dozens* of estimates at once —
 exactly the shape :mod:`repro.continuum.montecarlo` solves for grid
-cells.  This module is that engine, re-specialized for statistics:
+cells.  This module runs them on the same engine,
+:mod:`repro.stats.rounds`, and supplies only what is particular to
+statistics:
 
 * **tasks instead of cells** — a :class:`StatTask` names one randomized
   estimate: a bootstrap CI for a category share, or a permutation
   p-value (total-variation or difference-of-means);
-* **sequential stopping** — each task runs draw *rounds* until the
-  Monte-Carlo standard error of its estimate reaches
-  :attr:`StatSpec.target_se` (binomial s.e. for p-values, resample
-  s.e. for bootstrap shares), capped at the draw budget.  Rounds draw
-  from per-round ``SeedSequence`` children of a content-addressed task
-  entropy, so a task's draw stream is identical whether it stops early
-  or runs to the cap;
-* **caching + ledger** — tasks are content-addressed for
-  :class:`~repro.pipeline.cache.ArtifactCache` hits, and a
-  :class:`~repro.obs.RunRegistry` gets a ``stat-sweep`` record through
-  the same :func:`~repro.obs.build_sweep_record` path as mc-sweeps
-  (:class:`StatSweepResult` exposes the same counters).
+* **the draw and the fold** — each round is one vectorized NumPy call
+  (multinomial / hypergeometric / permuted-matrix) drawing from its own
+  ``SeedSequence`` child of the task's content-addressed entropy, so a
+  task's draw stream is identical whether it stops early or runs to the
+  cap;
+* **the stop rule** — adaptive mode stops a task once the Monte-Carlo
+  standard error of its estimate reaches :attr:`StatSpec.target_se`
+  (binomial s.e. for p-values, resample s.e. for bootstrap shares),
+  capped at the draw budget.
 
-Unlike the continuum engine there is no process pool: every round is one
-vectorized NumPy call (multinomial / hypergeometric / permuted-matrix),
-so the parent process is already saturated by BLAS-free array work and
-fan-out overhead would dominate.  The determinism contract is the same —
-rounds fold in order, so results are independent of how many tasks share
-the sweep.
+Caching, the interleaved round queue, telemetry and the ``stat-sweep``
+ledger record come from the engine.  Stat sweeps take its serial path:
+a round is already one array call, so a process pool's fan-out overhead
+would dominate.  Rounds fold in order, so a task's result is the same
+however many other tasks share the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -44,7 +42,13 @@ import numpy as np
 from repro.errors import StatsError
 from repro.stats.frequency import FrequencyTable
 from repro.stats.inference import total_variation_distance
-from repro.telemetry import ensure
+from repro.stats.rounds import (
+    Rounds,
+    SweepOutcome,
+    Unit,
+    round_rng,
+    run_rounds,
+)
 
 __all__ = [
     "STAT_ENGINE_VERSION",
@@ -65,9 +69,6 @@ STAT_ENGINE_VERSION = "1"
 
 #: Task kinds the engine knows how to draw rounds for.
 STAT_KINDS = ("bootstrap_share", "permutation_tvd", "permutation_mean")
-
-#: z for the 95% interval reported alongside permutation p-values.
-_CI_Z = 1.959963984540054
 
 
 def _counts_tuple(counts: Any, name: str) -> tuple[int, ...]:
@@ -266,42 +267,18 @@ class StatCell:
             raise StatsError(f"malformed stat cell payload: {exc}") from None
 
 
-@dataclass(frozen=True)
-class StatSweepResult:
-    """Outcome of :func:`run_stat_sweep`.
+class StatSweepResult(SweepOutcome):
+    """Outcome of :func:`run_stat_sweep`: one :class:`StatCell` per task
+    (fields as in :class:`~repro.stats.rounds.SweepOutcome`; draws count
+    as replications)."""
 
-    Attribute-compatible with the Monte-Carlo
-    :class:`~repro.continuum.montecarlo.SweepResult` where the ledger
-    cares (``cells``/``computed``/``cached``/``n_replications_run``/
-    ``n_replications_budget``), so
-    :func:`~repro.obs.build_sweep_record` digests it unchanged.
-    """
-
-    cells: tuple[StatCell, ...]
-    computed: tuple[str, ...]
-    cached: tuple[str, ...]
-    n_replications_run: int
-    n_replications_budget: int = 0
-
-    @property
-    def n_replications_saved(self) -> int:
-        return self.n_replications_budget - self.n_replications_run
+    engine_version = STAT_ENGINE_VERSION
 
     def __getitem__(self, name: str) -> StatCell:
         for cell in self.cells:
             if cell.name == name:
                 return cell
         raise KeyError(name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine_version": STAT_ENGINE_VERSION,
-            "cells": [cell.to_dict() for cell in self.cells],
-            "computed": list(self.computed),
-            "cached": list(self.cached),
-            "n_replications_run": self.n_replications_run,
-            "n_replications_budget": self.n_replications_budget,
-        }
 
 
 # -- per-kind draw rounds ----------------------------------------------------------
@@ -310,35 +287,35 @@ class StatSweepResult:
 class _TaskState:
     """Streaming accumulation of one task's draw rounds."""
 
-    __slots__ = ("task", "draws", "rounds", "chunks", "exceed", "observed")
+    __slots__ = ("task", "entropy", "chunks", "exceed", "observed")
 
-    def __init__(self, task: StatTask) -> None:
+    def __init__(self, task: StatTask, entropy: int) -> None:
         self.task = task
-        self.draws = 0
-        self.rounds = 0
+        self.entropy = entropy
         self.chunks: list[np.ndarray] = []   # bootstrap share resamples
         self.exceed = 0                      # permutation exceedances
         self.observed = 0.0
-
         if task.kind == "permutation_tvd":
             self.observed = total_variation_distance(task.a, task.b)
         elif task.kind == "permutation_mean":
-            a = np.asarray(task.a)
-            b = np.asarray(task.b)
-            self.observed = float(b.mean() - a.mean())
+            self.observed = float(np.mean(task.b) - np.mean(task.a))
 
 
-def _run_round(state: _TaskState, rng: np.random.Generator, size: int) -> None:
-    """Draw *size* Monte-Carlo samples for one task, vectorized."""
+def _run_round(state: _TaskState, rng: np.random.Generator, size: int):
+    """Draw *size* Monte-Carlo samples for one task, vectorized.
+
+    Returns the round's resampled shares (bootstrap) or its count of
+    permuted statistics at least as extreme as the observed one.
+    """
     task = state.task
     if task.kind == "bootstrap_share":
         counts = np.asarray(task.counts, dtype=np.float64)
         n = int(counts.sum())
         resamples = rng.multinomial(n, counts / n, size=size)
-        state.chunks.append(resamples[:, task.label_index] / n)
-    elif task.kind == "permutation_tvd":
-        va = np.asarray(task.a, dtype=np.float64)
-        vb = np.asarray(task.b, dtype=np.float64)
+        return resamples[:, task.label_index] / n
+    va = np.asarray(task.a, dtype=np.float64)
+    vb = np.asarray(task.b, dtype=np.float64)
+    if task.kind == "permutation_tvd":
         pooled = (va + vb).astype(np.int64)
         na = int(va.sum())
         drawn = rng.multivariate_hypergeometric(pooled, na, size=size)
@@ -346,31 +323,21 @@ def _run_round(state: _TaskState, rng: np.random.Generator, size: int) -> None:
         pa = drawn / na
         pb = rest / rest.sum(axis=1, keepdims=True)
         tvd = 0.5 * np.abs(pa - pb).sum(axis=1)
-        state.exceed += int((tvd >= state.observed - 1e-12).sum())
-    else:  # permutation_mean
-        va = np.asarray(task.a, dtype=np.float64)
-        vb = np.asarray(task.b, dtype=np.float64)
-        pooled = np.concatenate([va, vb])
-        if np.ptp(pooled) == 0.0:
-            # No variability: every permuted delta is 0 == |observed|.
-            state.exceed += size
-        else:
-            idx = rng.permuted(
-                np.tile(np.arange(pooled.size), (size, 1)), axis=1
-            )
-            shuffled = pooled[idx]
-            mean_a = shuffled[:, : va.size].mean(axis=1)
-            mean_b = shuffled[:, va.size:].mean(axis=1)
-            deltas = np.abs(mean_b - mean_a)
-            state.exceed += int(
-                (deltas >= abs(state.observed) - 1e-15).sum()
-            )
-    state.draws += size
-    state.rounds += 1
+        return int((tvd >= state.observed - 1e-12).sum())
+    pooled = np.concatenate([va, vb])
+    if np.ptp(pooled) == 0.0:
+        # No variability: every permuted delta is 0 == |observed|.
+        return size
+    idx = rng.permuted(np.tile(np.arange(pooled.size), (size, 1)), axis=1)
+    shuffled = pooled[idx]
+    mean_a = shuffled[:, : va.size].mean(axis=1)
+    mean_b = shuffled[:, va.size:].mean(axis=1)
+    deltas = np.abs(mean_b - mean_a)
+    return int((deltas >= abs(state.observed) - 1e-15).sum())
 
 
-def _standard_error(state: _TaskState) -> float:
-    """Monte-Carlo standard error of the task's estimate so far.
+def _standard_error(state: _TaskState, draws: int) -> float:
+    """Monte-Carlo standard error of the task's estimate after *draws*.
 
     Binomial s.e. of the p-value for permutation tests (with the
     add-one-smoothed p, so a zero-exceedance round still reports a
@@ -383,11 +350,11 @@ def _standard_error(state: _TaskState) -> float:
         if shares.size < 2:
             return math.inf
         return float(shares.std(ddof=1) / math.sqrt(shares.size))
-    p = (1.0 + state.exceed) / (state.draws + 1.0)
-    return math.sqrt(p * (1.0 - p) / state.draws)
+    p = (1.0 + state.exceed) / (draws + 1.0)
+    return math.sqrt(p * (1.0 - p) / draws)
 
 
-def _finish(state: _TaskState) -> StatCell:
+def _finish(state: _TaskState, draws: int) -> StatCell:
     task = state.task
     if task.kind == "bootstrap_share":
         shares = np.concatenate(state.chunks)
@@ -400,31 +367,18 @@ def _finish(state: _TaskState) -> StatCell:
             "high": float(high),
         }
     else:
-        p_value = (1.0 + state.exceed) / (state.draws + 1.0)
+        p_value = (1.0 + state.exceed) / (draws + 1.0)
         estimate = {"statistic": state.observed, "p_value": p_value}
     return StatCell(
         name=task.name,
         kind=task.kind,
-        draws=state.draws,
-        se=_standard_error(state),
+        draws=draws,
+        se=_standard_error(state, draws),
         estimate=estimate,
     )
 
 
 # -- the sweep driver --------------------------------------------------------------
-
-
-def _task_entropy(identity: Mapping[str, Any]) -> int:
-    from repro.pipeline.cache import stable_digest
-
-    return int(stable_digest(identity)[:32], 16)
-
-
-def _round_rng(entropy: int, round_index: int) -> np.random.Generator:
-    """The dedicated generator for draw round *round_index* of a task."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(round_index,))
-    )
 
 
 def run_stat_sweep(
@@ -445,119 +399,70 @@ def run_stat_sweep(
     record built by the same :func:`~repro.obs.build_sweep_record` that
     digests mc-sweeps.
     """
-    tel = ensure(telemetry)
-    if not tel.enabled:
-        return _run_stat_sweep(spec, cache, tel, registry)
-    with tel.tracer.span(
-        "stat_sweep",
-        tasks=len(spec.tasks),
-        draws=spec.draw_cap,
-        adaptive=spec.adaptive,
-    ) as span:
-        result = _run_stat_sweep(spec, cache, tel, registry)
-        span.tags.update(
-            computed=len(result.computed),
-            cached=len(result.cached),
-        )
-        tel.log.info(
-            "stat_sweep.finish",
-            tasks=len(result.cells),
-            computed=len(result.computed),
-            cached=len(result.cached),
-            draws_run=result.n_replications_run,
-        )
-    return result
-
-
-def _run_stat_sweep(spec: StatSpec, cache, tel, registry) -> StatSweepResult:
     from repro.pipeline.cache import stable_digest
 
     plan = spec.draw_plan()
-    # Entropy is plan-free: a task's draw stream depends only on what it
-    # estimates (and the sweep seed), so a run that stops early folds a
-    # bit-identical prefix of the capped run's stream.  The cache key
-    # adds the plan on top — a different stopping rule is a different
-    # experiment even though it shares the stream.
-    identities = {
-        task.name: {
-            "engine": STAT_ENGINE_VERSION,
-            "seed": spec.seed,
-            "task": task.identity(),
-        }
-        for task in spec.tasks
-    }
-    cache_keys = {
-        task.name: stable_digest(
-            "stat-task", {**identities[task.name], "plan": plan}
-        )
-        for task in spec.tasks
-    }
-
-    cells: dict[str, StatCell] = {}
-    cached_ids: list[str] = []
-    misses: list[StatTask] = []
+    units = []
     for task in spec.tasks:
-        payload = cache.get(cache_keys[task.name]) if cache is not None else None
-        if payload is not None:
-            cells[task.name] = StatCell.from_dict(payload)
-            cached_ids.append(cells[task.name].cell_id)
-        else:
-            misses.append(task)
-
-    draws_run = 0
-    rounds_run = 0
-    for task in misses:
-        entropy = _task_entropy(identities[task.name])
-        state = _TaskState(task)
-        cap = spec.draw_cap
-        while state.draws < cap:
-            size = min(spec.round_size, cap - state.draws)
-            _run_round(state, _round_rng(entropy, state.rounds), size)
-            if spec.adaptive and _standard_error(state) <= spec.target_se:
-                break
-        cell = _finish(state)
-        cells[task.name] = cell
-        draws_run += state.draws
-        rounds_run += state.rounds
-        if cache is not None:
-            cache.store(cache_keys[task.name], cell.to_dict())
-
-    budget = spec.draw_cap * len(misses)
-    result = StatSweepResult(
-        cells=tuple(cells[task.name] for task in spec.tasks),
-        computed=tuple(cells[task.name].cell_id for task in misses),
-        cached=tuple(cached_ids),
-        n_replications_run=draws_run,
-        n_replications_budget=budget,
+        # Entropy is plan-free: a task's draw stream depends only on what
+        # it estimates (and the sweep seed), so a run that stops early
+        # folds a bit-identical prefix of the capped run's stream.  The
+        # cache key adds the plan on top — a different stopping rule is
+        # a different experiment even though it shares the stream.
+        identity = {"engine": STAT_ENGINE_VERSION, "seed": spec.seed,
+                    "task": task.identity()}
+        key = stable_digest("stat-task", {**identity, "plan": plan})
+        units.append(Unit(f"{task.kind}|{task.name}", key, identity, task))
+    meta: dict[str, Any] = {"seed": spec.seed, "draws": spec.draws}
+    if spec.adaptive:
+        meta["target_se"] = spec.target_se
+        meta["max_draws"] = spec.draw_cap
+    return run_rounds(
+        _StatRounds(spec), units,
+        cap=spec.draw_cap, round_size=spec.round_size,
+        adaptive=spec.adaptive, meta=meta, cache=cache,
+        telemetry=telemetry, registry=registry,
     )
-    if tel.enabled:
-        metrics = tel.metrics
-        metrics.counter("stat.draws").inc(draws_run)
-        metrics.counter("stat.tasks_computed").inc(len(result.computed))
-        metrics.counter("stat.tasks_cached").inc(len(result.cached))
-        if misses:
-            metrics.counter("stat.rounds").inc(rounds_run)
-        if spec.adaptive:
-            metrics.counter("stat.draws_saved").inc(
-                result.n_replications_saved
-            )
-    if registry is not None:
-        from repro.obs import build_sweep_record
 
-        meta: dict[str, Any] = {"seed": spec.seed, "draws": spec.draws}
-        if spec.adaptive:
-            meta["target_se"] = spec.target_se
-            meta["max_draws"] = spec.draw_cap
-        registry.record(
-            build_sweep_record(
-                result,
-                telemetry=tel if tel.enabled else None,
-                config_digest=stable_digest(sorted(cache_keys.values())),
-                kind="stat-sweep",
-                meta=meta,
-            )
-        )
-    return result
+
+class _StatRounds(Rounds):
+    """Stat tasks on the round engine: round *k* of a task draws
+    ``round_size`` samples from ``round_rng(entropy, k)``."""
+
+    span, prefix, units, draws = "stat_sweep", "stat", "tasks", "draws"
+    result = StatSweepResult
+
+    def __init__(self, spec: StatSpec) -> None:
+        self.spec = spec
+
+    def decode(self, unit: Unit, payload: Mapping[str, Any]) -> StatCell:
+        # The key holds what a task estimates, not its name: a hit may
+        # come from a task of another name with the same data.
+        return replace(StatCell.from_dict(payload), name=unit.spec.name)
+
+    def prepare(self, misses: list[Unit], telemetry):
+        self.states = [_TaskState(unit.spec, unit.entropy) for unit in misses]
+        return self._draw, None, ()
+
+    def _draw(self, item: tuple[int, int, int]):
+        index, start, count = item
+        state = self.states[index]
+        rng = round_rng(state.entropy, start // self.spec.round_size)
+        return _run_round(state, rng, count)
+
+    def fold(self, index: int, values) -> None:
+        state = self.states[index]
+        if state.task.kind == "bootstrap_share":
+            state.chunks.append(values)
+        else:
+            state.exceed += values
+
+    def stop(self, index: int, folded: int) -> bool:
+        se = _standard_error(self.states[index], folded)
+        return se <= self.spec.target_se
+
+    def finish(self, index: int, folded: int) -> StatCell:
+        return _finish(self.states[index], folded)
 
 
 # -- front doors -------------------------------------------------------------------

@@ -220,6 +220,55 @@ class TestRunStatSweep:
         ))
         assert result["flat"].estimate["p_value"] > 0.99
 
+    def test_cache_hit_keeps_the_requested_name(self):
+        """The cache key holds what a task estimates, not its name: a hit
+        from a same-data task of another name is reported under the name
+        asked for."""
+        cache = ArtifactCache()
+        plan = dict(seed=7, draws=1000, round_size=500)
+        run_stat_sweep(StatSpec(tasks=(share_task("a"),), **plan),
+                       cache=cache)
+        warm = run_stat_sweep(StatSpec(tasks=(share_task("b"),), **plan),
+                              cache=cache)
+        assert warm.cached == ("bootstrap_share|b",)
+        assert warm["b"].cell_id == "bootstrap_share|b"
+
+
+class TestInterleavedRounds:
+    """The shared round queue interleaves the rounds of every task in a
+    sweep; a task's result must not depend on its neighbours."""
+
+    TASKS = (
+        share_task("share:a", 0),
+        share_task("share:d", 3),
+        StatTask(name="tvd", kind="permutation_tvd",
+                 a=(30, 20, 10), b=(25, 25, 10)),
+        StatTask(name="mean", kind="permutation_mean",
+                 a=(1.0, 2.0, 3.0, 4.0), b=(2.5, 3.5, 4.5, 5.5)),
+    )
+
+    @pytest.mark.parametrize(
+        "adaptive", [False, True], ids=["fixed", "adaptive"]
+    )
+    def test_task_cell_independent_of_neighbours(self, adaptive):
+        plan = dict(seed=7, draws=3000, round_size=500)
+        if adaptive:
+            plan.update(target_se=1e-2, max_draws=3000)
+        together = run_stat_sweep(StatSpec(tasks=self.TASKS, **plan))
+        for task in self.TASKS:
+            others = tuple(t for t in self.TASKS if t is not task)
+            alone = run_stat_sweep(StatSpec(tasks=(task,), **plan))
+            first = run_stat_sweep(StatSpec(tasks=(task, *others), **plan))
+            last = run_stat_sweep(StatSpec(tasks=(*others, task), **plan))
+            cell = alone[task.name]
+            assert first[task.name] == cell
+            assert last[task.name] == cell
+            assert together[task.name] == cell
+        draws = {cell.draws for cell in together.cells}
+        # Adaptive tasks stop after different numbers of rounds, so the
+        # queue really interleaves unequal streams.
+        assert len(draws) == (3 if adaptive else 1)
+
 
 class TestFrontDoors:
     def test_share_ci_tasks_covers_every_label(self):

@@ -1,5 +1,7 @@
 """Unit tests for the Monte-Carlo sweep engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.continuum import (
     RunningStat,
     SimulationContext,
     SweepSpec,
+    build_sweep_spec,
     continuum_from_dict,
     continuum_to_dict,
     default_continuum,
@@ -145,6 +148,36 @@ class TestSweepSpecValidation:
         with pytest.raises(MonteCarloError):
             SweepSpec(workflows=(workflow, workflow), continuum=continuum)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_jitter_and_repair_time(
+        self, workflow, continuum, context, value
+    ):
+        for grid in (f"jitter={value}", f"jitter=0,{value}"):
+            with pytest.raises(MonteCarloError, match="jitter"):
+                build_sweep_spec(grid=grid, fleet=1, replications=2)
+        with pytest.raises(MonteCarloError, match="jitter"):
+            SweepSpec(workflows=(workflow,), continuum=continuum,
+                      jitters=(value,))
+        with pytest.raises(MonteCarloError, match="repair_time"):
+            SweepSpec(workflows=(workflow,), continuum=continuum,
+                      mtbfs=(40.0,), repair_time=value)
+        rng = np.random.default_rng(0)
+        with pytest.raises(MonteCarloError, match="jitter"):
+            replicate_once(context, jitter=value, rng=rng)
+        with pytest.raises(MonteCarloError, match="repair_time"):
+            replicate_once(context, mtbf=40.0, repair_time=value, rng=rng)
+
+    @pytest.mark.parametrize("grid", [
+        "mtbf=50,50",
+        "jitter=0.1,0.10",
+        "mtbf=none,none",
+        "scheduler=heft,round_robin,heft",
+        "policy=restart,restart",
+    ])
+    def test_rejects_repeated_axis_values(self, grid):
+        with pytest.raises(MonteCarloError, match="repeat"):
+            build_sweep_spec(grid=grid, fleet=1, replications=2)
+
     def test_cells_enumerate_full_grid(self, workflow, continuum):
         spec = SweepSpec(
             workflows=(workflow,), continuum=continuum,
@@ -223,12 +256,11 @@ class TestSweepAggregation:
         """The streamed Welford aggregate equals numpy over the raw
         per-replication values recomputed via the one-shot simulator."""
         from repro.continuum.montecarlo import (
-            _cell_entropy,
             _cell_identity,
             _continuum_fingerprint,
-            _replication_rng,
             _workflow_fingerprint,
         )
+        from repro.stats.rounds import round_rng, unit_entropy
 
         spec = SweepSpec(
             workflows=(workflow,), continuum=continuum,
@@ -240,7 +272,7 @@ class TestSweepAggregation:
 
         schedule = HeftScheduler().schedule(workflow, continuum)
         cell = spec.cells()[0]
-        entropy = _cell_entropy(_cell_identity(
+        entropy = unit_entropy(_cell_identity(
             spec, cell,
             {workflow.name: _workflow_fingerprint(workflow)},
             _continuum_fingerprint(continuum),
@@ -250,7 +282,7 @@ class TestSweepAggregation:
         for rep in range(spec.replications):
             trace = simulate_with_failures(
                 schedule, mtbf=40.0, repair_time=spec.repair_time,
-                policy="restart", rng=_replication_rng(entropy, rep),
+                policy="restart", rng=round_rng(entropy, rep),
             )
             makespans.append(trace.makespan)
             retries.append(trace.n_failures)

@@ -121,3 +121,24 @@ def test_no_reference_implementations_in_continuum(module_name):
         or leaf.endswith("_reference")
     ]
     assert not found, f"{module_name} defines reference code {found}"
+
+
+#: The round engine's pieces live only in repro.stats.rounds.
+ROUND_ENGINE_NAMES = {
+    "_execute_cells",
+    "_CellProgress",
+    "_round_rng",
+    "_replication_rng",
+    "_task_entropy",
+    "_cell_entropy",
+    "_CI_Z",
+}
+
+
+@pytest.mark.parametrize(
+    "module_name", ["repro.continuum.montecarlo", "repro.stats.fanout"]
+)
+def test_round_engine_lives_in_one_module(module_name):
+    module = importlib.import_module(module_name)
+    found = sorted(ROUND_ENGINE_NAMES & set(vars(module)))
+    assert not found, f"{module_name} defines round-engine code {found}"

@@ -6,6 +6,7 @@ concurrency guarantees the worker pool leans on (threaded
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -330,6 +331,22 @@ class TestDispatch:
             assert status == 400, body
             assert "error" in payload
 
+    def test_bad_grid_values_400(self, app):
+        """Non-finite or repeated grid values fail while the client is
+        still on the line, never as an accepted job that dies later."""
+        for grid in (
+            "jitter=nan",
+            "jitter=inf",
+            "jitter=0,nan",
+            "mtbf=50,50",
+            "jitter=0.1,0.10",
+            "scheduler=heft,heft",
+        ):
+            status, payload = dispatch(app, "POST", "/sweeps", {"grid": grid})
+            assert status == 400, grid
+            assert "error" in payload
+        assert dispatch(app, "GET", "/jobs")[1]["jobs"] == []
+
     def test_unknown_study_endpoint_404(self, app):
         status, payload = dispatch(app, "GET", "/study/fig9")
         assert status == 404
@@ -467,6 +484,31 @@ class TestServerHandle:
         handle = ServerHandle(ctx, workers=2)
         handle.close()
         handle.close()
+
+    def test_idle_keepalive_clients_do_not_starve_the_pool(
+        self, ctx, monkeypatch
+    ):
+        """More idle open sockets than workers: each worker closes its
+        idle connection after the idle timeout, so /health still gets
+        served.  The timeout is patched down to keep the test fast."""
+        from repro.serve import app as app_module
+
+        assert app_module._Handler.timeout == app_module._IDLE_TIMEOUT_S > 0
+        monkeypatch.setattr(app_module._Handler, "timeout", 0.3)
+        workers = 2
+        with ServerHandle(ctx, workers=workers) as handle:
+            idle = [
+                socket.create_connection((handle.host, handle.port))
+                for _ in range(workers + 1)
+            ]
+            try:
+                with urllib.request.urlopen(
+                    handle.url + "/health", timeout=5
+                ) as response:
+                    assert response.status == 200
+            finally:
+                for sock in idle:
+                    sock.close()
 
     def test_corpus_endpoints_from_worker_threads(self, tmp_path):
         """The store is opened on the main thread but served from pool
