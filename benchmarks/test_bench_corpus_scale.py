@@ -245,8 +245,9 @@ def test_bench_dedup_100k(benchmark, tmp_path_factory):
     assert summary.dropped >= _N_DUPS
     assert remaining == N_RECORDS - summary.dropped
     peak_mb = peaks[-1] / 2**20
-    # Candidate pairs stream through SQL; Python heap holds only the
-    # per-record shingle sets, never an O(pairs) structure.
+    # The kernel counts each candidate pair once without a seen-pair set;
+    # Python heap holds only per-record shingle tuples and the blocks,
+    # never an O(pairs) structure.
     assert summary.pairs_scored > 0
     assert peak_mb < 512.0
     report(

@@ -39,8 +39,8 @@ Subcommands
     (``--lenient`` skips unusable entries and reports them,
     ``--on-collision suffix|skip`` survives citation-key reuse),
     evaluate boolean queries against its inverted term index, merge
-    near-duplicates with SQL-blocked detection, and print store
-    statistics.  ``--record`` appends the operation to the run ledger.
+    near-duplicates found by the rare-shingle blocking kernel, and
+    print store statistics.  ``--record`` appends the operation to the run ledger.
 ``runs list|show|compare|gc``
     Inspect and gate on the persistent run ledger (``repro.obs``).
     ``replicate --record`` appends a run; ``runs compare`` exits with a

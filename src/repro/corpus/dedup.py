@@ -1,9 +1,10 @@
 """Near-duplicate detection for bibliographic corpora.
 
 Merging exports from several databases (Scopus, WoS, DBLP, ...) yields
-duplicate records with slightly different titles.  The deduplicator blocks
-candidates cheaply, scores them with title similarity, and clusters matches
-with a union-find structure:
+duplicate records with slightly different titles.  One index-level
+kernel, :func:`cluster_titles`, serves both containers: it blocks
+candidates cheaply, scores them with title similarity, and clusters
+matches with a union-find structure:
 
 1. **Blocking** — records sharing one of their *rarest* normalized-title
    4-gram shingles land in the same block; only within-block pairs are
@@ -18,11 +19,16 @@ with a union-find structure:
    is a prefix of the other), gated by year compatibility (missing years
    are compatible with everything).
 3. **Clustering** — union-find over pairs passing either measure.
+
+:func:`find_duplicates` runs the kernel over :class:`Publication`
+records; :meth:`repro.corpus.store.CorpusStore.deduplicate` runs it over
+the rows of one ``SELECT`` and merges in SQL.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Collection, Sequence, Set
 
 from repro.corpus.publication import Publication
 from repro.errors import CorpusError
@@ -30,6 +36,7 @@ from repro.errors import CorpusError
 __all__ = [
     "BLOCKING_KEYS",
     "DuplicateCluster",
+    "cluster_titles",
     "find_duplicates",
     "merge_cluster",
     "pair_similarity",
@@ -38,9 +45,9 @@ __all__ = [
     "years_compatible",
 ]
 
-#: Rare shingles indexed per record by the blocking stage.  Shared with
-#: the SQL-blocked path in :mod:`repro.corpus.store` so both produce the
-#: same candidate pairs.
+#: Rare shingles indexed per record by the blocking stage of
+#: :func:`cluster_titles`: the record's BLOCKING_KEYS least frequent
+#: shingles, ties broken by the shingle string.
 BLOCKING_KEYS = 10
 
 
@@ -73,7 +80,7 @@ def title_shingles(normalized_title: str, k: int = 4) -> frozenset[str]:
     text = normalized_title.replace(" ", "_")
     if len(text) <= k:
         return frozenset((text,)) if text else frozenset()
-    return frozenset(text[i : i + k] for i in range(len(text) - k + 1))
+    return frozenset([text[i : i + k] for i in range(len(text) - k + 1)])
 
 
 def years_compatible(a: int | None, b: int | None, slack: int = 1) -> bool:
@@ -88,18 +95,19 @@ def years_compatible(a: int | None, b: int | None, slack: int = 1) -> bool:
 
 
 def pair_similarity(
-    sa: frozenset[str], sb: frozenset[str]
+    sa: Set[str], sb: Collection[str]
 ) -> tuple[float, float]:
     """(Jaccard, containment) similarity of two shingle sets.
 
     Containment is ``|A∩B| / min(|A|, |B|)`` — the subtitle-truncation
-    detector.  Either set empty yields ``(0.0, 0.0)``.
+    detector.  Either set empty yields ``(0.0, 0.0)``.  *sb* may be any
+    collection of distinct shingles (the kernel passes a tuple).
     """
     if not sa or not sb:
         return 0.0, 0.0
-    intersection = len(sa & sb)
+    intersection = len(sa.intersection(sb))
     return (
-        intersection / len(sa | sb),
+        intersection / (len(sa) + len(sb) - intersection),
         intersection / min(len(sa), len(sb)),
     )
 
@@ -119,6 +127,96 @@ def validate_dedup_params(
 
 
 DuplicateCluster = tuple[Publication, ...]
+
+
+def cluster_titles(
+    titles: Sequence[str],
+    years: Sequence[int | None],
+    *,
+    threshold: float = 0.75,
+    containment_threshold: float = 0.9,
+    shingle_size: int = 4,
+    year_slack: int = 1,
+) -> tuple[list[list[int]], int]:
+    """Cluster near-duplicate records given by index.
+
+    Parameters
+    ----------
+    titles:
+        Titles as :func:`~repro.corpus.publication.normalize_title`
+        returns them.
+    years:
+        Publication years, aligned with *titles*; ``None`` when unknown.
+    threshold, containment_threshold, shingle_size, year_slack:
+        As for :func:`find_duplicates`.
+
+    Returns
+    -------
+    (clusters, pairs_scored)
+        One ascending index list per duplicate cluster (size >= 2),
+        ordered by first member; and the number of distinct candidate
+        pairs blocking produced (each scored once, year gate included).
+
+    Memory is O(records): each record keeps its shingles as one tuple of
+    interned strings, sorted rarest first, and no set of seen pairs is
+    kept.  A pair ``{x, y}`` is a candidate when a rare key of one is a
+    shingle of the other.  Record *x* probes the blocks of every shingle
+    it has and scores each partner ``y > x``; a partner ``y < x`` is
+    scored only when none of *x*'s rare keys is a shingle of *y* —
+    otherwise *y*'s own probe already reached *x* and scored the pair.
+    """
+    validate_dedup_params(threshold, containment_threshold, shingle_size)
+    n = len(titles)
+    # One string object per distinct shingle: setdefault(s, s) returns
+    # the first copy seen.
+    interned: dict[str, str] = {}
+    records = [
+        tuple(map(interned.setdefault, shingles, shingles))
+        for shingles in (
+            title_shingles(title, shingle_size) for title in titles
+        )
+    ]
+    del interned
+    frequency: Counter[str] = Counter()
+    for shingles in records:
+        frequency.update(shingles)
+    # Rarest first, ties by the shingle string: a stable sort by
+    # frequency over the string-sorted shingles.
+    blocks: dict[str, list[int]] = {}
+    for i, shingles in enumerate(records):
+        ordered = tuple(sorted(sorted(shingles), key=frequency.__getitem__))
+        records[i] = ordered
+        for shingle in ordered[:BLOCKING_KEYS]:
+            blocks.setdefault(shingle, []).append(i)
+    del frequency
+
+    union_find = _UnionFind(n)
+    pairs_scored = 0
+    for x, shingles in enumerate(records):
+        probe = frozenset(shingles)
+        partners: set[int] = set()
+        for shingle in blocks.keys() & probe:
+            partners.update(blocks[shingle])
+        partners.discard(x)
+        rare = frozenset(shingles[:BLOCKING_KEYS])
+        for y in partners:
+            other = records[y]
+            if y < x and not rare.isdisjoint(other):
+                continue
+            pairs_scored += 1
+            if not years_compatible(years[x], years[y], year_slack):
+                continue
+            jaccard, containment = pair_similarity(probe, other)
+            if jaccard >= threshold or containment >= containment_threshold:
+                union_find.union(x, y)
+
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):
+        clusters.setdefault(union_find.find(i), []).append(i)
+    return (
+        [members for members in clusters.values() if len(members) >= 2],
+        pairs_scored,
+    )
 
 
 def find_duplicates(
@@ -153,59 +251,15 @@ def find_duplicates(
         One tuple per duplicate cluster (size >= 2), records in input
         order; singletons are omitted.
     """
-    validate_dedup_params(threshold, containment_threshold, shingle_size)
-    n = len(publications)
-    if n < 2:
-        return []
-
-    shingle_sets = [
-        title_shingles(pub.normalized_title, shingle_size)
-        for pub in publications
-    ]
-
-    # Blocking: index each record under its rarest shingles, then probe the
-    # index with every record's FULL shingle set.  Index-side rarity keeps
-    # blocks small; query-side completeness keeps recall — a truncated title
-    # still probes the shingles its superset indexed.
-    frequency: dict[str, int] = {}
-    for shingles in shingle_sets:
-        for shingle in shingles:
-            frequency[shingle] = frequency.get(shingle, 0) + 1
-    blocks: dict[str, list[int]] = {}
-    for i, shingles in enumerate(shingle_sets):
-        rare = sorted(shingles, key=lambda s: (frequency[s], s))[:BLOCKING_KEYS]
-        for shingle in rare:
-            blocks.setdefault(shingle, []).append(i)
-
-    union_find = _UnionFind(n)
-    seen_pairs: set[tuple[int, int]] = set()
-    for i in range(n):
-        for shingle in shingle_sets[i]:
-            for j in blocks.get(shingle, ()):
-                if j == i:
-                    continue
-                pair = (min(i, j), max(i, j))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                if not years_compatible(
-                    publications[i].year, publications[j].year, year_slack
-                ):
-                    continue
-                jac, containment = pair_similarity(
-                    shingle_sets[i], shingle_sets[j]
-                )
-                if jac >= threshold or containment >= containment_threshold:
-                    union_find.union(i, j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(union_find.find(i), []).append(i)
-    return [
-        tuple(publications[i] for i in members)
-        for members in clusters.values()
-        if len(members) >= 2
-    ]
+    clusters, _ = cluster_titles(
+        [pub.normalized_title for pub in publications],
+        [pub.year for pub in publications],
+        threshold=threshold,
+        containment_threshold=containment_threshold,
+        shingle_size=shingle_size,
+        year_slack=year_slack,
+    )
+    return [tuple(publications[i] for i in members) for members in clusters]
 
 
 def merge_cluster(cluster: DuplicateCluster) -> Publication:

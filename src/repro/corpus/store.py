@@ -17,13 +17,12 @@ hundreds of records the study saw to millions:
   range scans for ``prefix*`` wildcards, intersections for phrases),
   then post-filters only the candidates with the compiled matcher — no
   full scan unless the query is negation-rooted;
-* **SQL-blocked deduplication** — :meth:`CorpusStore.deduplicate` reuses
-  the rare-shingle blocking of :mod:`repro.corpus.dedup` but stages the
-  shingle and block tables in SQLite and streams ``DISTINCT`` candidate
-  pairs out of a SQL join, so the pair set lives in a disk-backed B-tree
-  instead of an in-memory ``seen_pairs`` set.  Scoring, year gating, and
-  clustering are shared with the in-memory path, so the merged result is
-  bit-identical to ``Corpus.deduplicate`` on the same records.
+* **in-memory deduplication, SQL merge** — :meth:`CorpusStore.deduplicate`
+  reads ``(id, title, year)`` in one ``SELECT`` and hands the rows to
+  :func:`repro.corpus.dedup.cluster_titles`, the one blocking, scoring
+  and clustering kernel ``Corpus.deduplicate`` also runs, in O(records)
+  memory; only the merge, delete and re-index run in SQL.  The merged
+  result is bit-identical to ``Corpus.deduplicate`` on the same records.
 
 Every phase is instrumented with :mod:`repro.telemetry` spans and
 ``corpus.*`` counters behind the usual zero-overhead null default.
@@ -45,15 +44,7 @@ from repro.corpus.bibtex import (
     to_bibtex,
 )
 from repro.corpus.corpus import COLLISION_POLICIES
-from repro.corpus.dedup import (
-    BLOCKING_KEYS,
-    _UnionFind,
-    merge_cluster,
-    pair_similarity,
-    title_shingles,
-    validate_dedup_params,
-    years_compatible,
-)
+from repro.corpus.dedup import cluster_titles, merge_cluster
 from repro.corpus.publication import Publication, normalize_title
 from repro.corpus.query import (
     AndNode,
@@ -162,7 +153,9 @@ class DedupSummary:
     dropped:
         Records deleted (cluster members beyond the first).
     pairs_scored:
-        Candidate pairs streamed out of the SQL block join and scored.
+        Distinct candidate pairs the blocking stage of
+        :func:`~repro.corpus.dedup.cluster_titles` produced, each scored
+        once (pairs the year gate rejects included).
     """
 
     clusters: int = 0
@@ -654,180 +647,87 @@ class CorpusStore:
     ) -> DedupSummary:
         """Merge near-duplicate clusters in place.
 
-        The blocking, scoring, and merge policy are shared with
-        :func:`repro.corpus.dedup.find_duplicates` /
-        :func:`~repro.corpus.dedup.merge_cluster`, so the surviving
-        records are bit-identical to ``Corpus.deduplicate`` on the same
-        input — but candidate pairs stream out of a SQL join over
-        temp shingle/block tables (disk-backed ``DISTINCT`` B-tree)
-        instead of an all-pairs ``seen_pairs`` set, keeping Python-heap
-        memory O(records), not O(pairs).
+        Reads ``(id, title, year)`` for every record in one ``SELECT``,
+        clusters them with :func:`repro.corpus.dedup.cluster_titles` —
+        the kernel behind :func:`~repro.corpus.dedup.find_duplicates`,
+        in O(records) memory — and merges each cluster with
+        :func:`~repro.corpus.dedup.merge_cluster` in one transaction, so
+        the surviving records are bit-identical to ``Corpus.deduplicate``
+        on the same input.  Spans: ``corpus.dedup`` with children
+        ``corpus.dedup.cluster`` (read and kernel) and
+        ``corpus.dedup.merge`` (the SQL merge).
         """
-        validate_dedup_params(threshold, containment_threshold, shingle_size)
         tel = self._telemetry
         db = self.db
         with tel.tracer.span("corpus.dedup"):
-            if len(self) < 2:
-                return DedupSummary()
-            db.executescript(
-                """
-                DROP TABLE IF EXISTS temp.dedup_shingles;
-                DROP TABLE IF EXISTS temp.dedup_blocks;
-                CREATE TEMP TABLE dedup_shingles (
-                    pub_id INTEGER NOT NULL,
-                    shingle TEXT NOT NULL
-                );
-                """
-            )
-            batch: list[tuple[int, str]] = []
-            for pub_id, title in db.execute(
-                "SELECT id, title FROM pubs ORDER BY id"
-            ).fetchall():
-                batch.extend(
-                    (pub_id, shingle)
-                    for shingle in title_shingles(
-                        normalize_title(title), shingle_size
-                    )
+            with tel.tracer.span("corpus.dedup.cluster"):
+                rows = db.execute(
+                    "SELECT id, title, year FROM pubs ORDER BY id"
+                ).fetchall()
+                clusters, pairs_scored = cluster_titles(
+                    [normalize_title(title) for _, title, _ in rows],
+                    [year for _, _, year in rows],
+                    threshold=threshold,
+                    containment_threshold=containment_threshold,
+                    shingle_size=shingle_size,
+                    year_slack=year_slack,
                 )
-                if len(batch) >= 50_000:
-                    db.executemany(
-                        "INSERT INTO dedup_shingles (pub_id, shingle)"
-                        " VALUES (?, ?)",
-                        batch,
-                    )
-                    batch.clear()
-            if batch:
-                db.executemany(
-                    "INSERT INTO dedup_shingles (pub_id, shingle)"
-                    " VALUES (?, ?)",
-                    batch,
-                )
-                batch.clear()
-            db.executescript(
-                f"""
-                CREATE INDEX temp.idx_dedup_shingles_sh
-                    ON dedup_shingles(shingle);
-                CREATE TEMP TABLE dedup_blocks AS
-                    SELECT pub_id, shingle FROM (
-                        SELECT s.pub_id, s.shingle,
-                               ROW_NUMBER() OVER (
-                                   PARTITION BY s.pub_id
-                                   ORDER BY f.c, s.shingle
-                               ) AS rn
-                        FROM dedup_shingles s
-                        JOIN (
-                            SELECT shingle, COUNT(*) AS c
-                            FROM dedup_shingles GROUP BY shingle
-                        ) f ON f.shingle = s.shingle
-                    ) WHERE rn <= {BLOCKING_KEYS};
-                CREATE INDEX temp.idx_dedup_blocks_sh
-                    ON dedup_blocks(shingle);
-                """
-            )
-
-            years: dict[int, int | None] = dict(
-                db.execute("SELECT id, year FROM pubs")
-            )
-            ids = sorted(years)
-            dense = {pub_id: i for i, pub_id in enumerate(ids)}
-            union_find = _UnionFind(len(ids))
-
-            # One sequential scan materializes every record's shingle set
-            # — O(records) memory, like the in-memory path.  The savings
-            # over `find_duplicates` is the O(pairs) `seen_pairs` set,
-            # which lives in the SQL DISTINCT B-tree below instead.
-            # Interning collapses the per-row str copies SQLite hands
-            # back into one object per distinct shingle.
-            interned: dict[str, str] = {}
-            shingle_sets: dict[int, set[str]] = {}
-            for pub_id, shingle in db.execute(
-                "SELECT pub_id, shingle FROM dedup_shingles"
-            ):
-                shingle_sets.setdefault(pub_id, set()).add(
-                    interned.setdefault(shingle, shingle)
-                )
-            interned.clear()
-
-            pairs_scored = 0
-            pair_cursor = db.execute(
-                "SELECT DISTINCT min(s.pub_id, b.pub_id),"
-                " max(s.pub_id, b.pub_id)"
-                " FROM dedup_shingles s JOIN dedup_blocks b"
-                " ON b.shingle = s.shingle AND s.pub_id != b.pub_id"
-            )
-            for left, right in pair_cursor:
-                pairs_scored += 1
-                if not years_compatible(years[left], years[right], year_slack):
-                    continue
-                jaccard, containment = pair_similarity(
-                    shingle_sets[left], shingle_sets[right]
-                )
-                if jaccard >= threshold or containment >= containment_threshold:
-                    union_find.union(dense[left], dense[right])
+                duplicate_clusters = [
+                    [rows[i][0] for i in members] for members in clusters
+                ]
+                del rows
             tel.metrics.counter("corpus.dedup_pairs_scored").inc(pairs_scored)
-            shingle_sets.clear()
 
-            clusters: dict[int, list[int]] = {}
-            for pub_id in ids:
-                clusters.setdefault(
-                    union_find.find(dense[pub_id]), []
-                ).append(pub_id)
-            duplicate_clusters = [
-                members
-                for members in clusters.values()
-                if len(members) >= 2
-            ]
-
-            dropped = 0
-            try:
-                for members in duplicate_clusters:
-                    merged = merge_cluster(
-                        tuple(self._fetch_by_ids(members))
-                    )
-                    head = members[0]
-                    tail = members[1:]
-                    placeholders = ",".join("?" * len(tail))
-                    db.execute(
-                        f"DELETE FROM pubs WHERE id IN ({placeholders})", tail
-                    )
-                    all_members = ",".join("?" * len(members))
-                    db.execute(
-                        f"DELETE FROM postings WHERE pub_id IN ({all_members})",
-                        members,
-                    )
-                    db.execute(
-                        "UPDATE pubs SET key = ?, title = ?, authors = ?,"
-                        " year = ?, venue = ?, abstract = ?, doi = ?,"
-                        " url = ?, keywords = ?, kind = ?, language = ?"
-                        " WHERE id = ?",
-                        (
-                            merged.key,
-                            merged.title,
-                            json.dumps(list(merged.authors)),
-                            merged.year,
-                            merged.venue,
-                            merged.abstract,
-                            merged.doi,
-                            merged.url,
-                            json.dumps(list(merged.keywords)),
-                            merged.kind,
-                            merged.language,
-                            head,
-                        ),
-                    )
-                    db.executemany(
-                        "INSERT INTO postings (term, pub_id) VALUES (?, ?)",
-                        [(term, head) for term in _index_terms(merged)],
-                    )
-                    dropped += len(tail)
-            except BaseException:
-                db.rollback()
-                raise
-            db.commit()
-            db.executescript(
-                "DROP TABLE IF EXISTS temp.dedup_shingles;"
-                "DROP TABLE IF EXISTS temp.dedup_blocks;"
-            )
+            with tel.tracer.span("corpus.dedup.merge"):
+                dropped = 0
+                try:
+                    for members in duplicate_clusters:
+                        merged = merge_cluster(
+                            tuple(self._fetch_by_ids(members))
+                        )
+                        head = members[0]
+                        tail = members[1:]
+                        placeholders = ",".join("?" * len(tail))
+                        db.execute(
+                            f"DELETE FROM pubs WHERE id IN ({placeholders})",
+                            tail,
+                        )
+                        all_members = ",".join("?" * len(members))
+                        db.execute(
+                            "DELETE FROM postings"
+                            f" WHERE pub_id IN ({all_members})",
+                            members,
+                        )
+                        db.execute(
+                            "UPDATE pubs SET key = ?, title = ?, authors = ?,"
+                            " year = ?, venue = ?, abstract = ?, doi = ?,"
+                            " url = ?, keywords = ?, kind = ?, language = ?"
+                            " WHERE id = ?",
+                            (
+                                merged.key,
+                                merged.title,
+                                json.dumps(list(merged.authors)),
+                                merged.year,
+                                merged.venue,
+                                merged.abstract,
+                                merged.doi,
+                                merged.url,
+                                json.dumps(list(merged.keywords)),
+                                merged.kind,
+                                merged.language,
+                                head,
+                            ),
+                        )
+                        db.executemany(
+                            "INSERT INTO postings (term, pub_id)"
+                            " VALUES (?, ?)",
+                            [(term, head) for term in _index_terms(merged)],
+                        )
+                        dropped += len(tail)
+                except BaseException:
+                    db.rollback()
+                    raise
+                db.commit()
             tel.metrics.counter("corpus.dedup_clusters").inc(
                 len(duplicate_clusters)
             )

@@ -16,12 +16,17 @@ is reachable from ``src/``.
   ``simulate_schedule``;
 * :func:`_replay` and :class:`_FailureClock` — the string-keyed failure
   replay behind ``simulate_with_failures``, which now wraps the
-  Monte-Carlo replay kernel.
+  Monte-Carlo replay kernel;
+* :func:`dedup_candidates_reference`, :func:`cluster_titles_reference` —
+  the dedup candidate pairs and clusters built from their definitions,
+  which ``repro.corpus.dedup.cluster_titles`` counts and finds without
+  materializing the pair set.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.simulate import ExecutionTrace
 from repro.continuum.workflow import Workflow
+from repro.corpus.dedup import BLOCKING_KEYS, title_shingles
 from repro.errors import ContinuumError, SchedulingError
 
 # -- scheduling ---------------------------------------------------------------
@@ -474,3 +480,73 @@ def _replay(
         lost_work=float(lost_work),
     )
     return trace, clock.consumed, attempts_started
+
+
+# -- deduplication ------------------------------------------------------------
+
+
+def dedup_candidates_reference(
+    titles: list[str], shingle_size: int = 4
+) -> set[tuple[int, int]]:
+    """Every candidate pair ``(a, b)``, ``a < b``, of dedup blocking.
+
+    A record's rare keys are its BLOCKING_KEYS shingles of lowest corpus
+    frequency, ties broken by the shingle string; ``{a, b}`` is a
+    candidate when a rare key of either is a shingle of the other.
+    """
+    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
+    frequency = Counter(s for record in shingles for s in record)
+    rare = [
+        set(sorted(record, key=lambda s: (frequency[s], s))[:BLOCKING_KEYS])
+        for record in shingles
+    ]
+    n = len(titles)
+    return {
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rare[a] & shingles[b] or rare[b] & shingles[a]
+    }
+
+
+def cluster_titles_reference(
+    titles: list[str],
+    years: list[int | None],
+    *,
+    threshold: float = 0.75,
+    containment_threshold: float = 0.9,
+    shingle_size: int = 4,
+    year_slack: int = 1,
+) -> tuple[list[list[int]], int]:
+    """Score every candidate pair, then cluster by connected components.
+
+    Returns ``(clusters, pairs_scored)`` in the kernel's layout: ascending
+    index lists of size >= 2, ordered by first member.
+    """
+    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
+    pairs = dedup_candidates_reference(titles, shingle_size)
+    neighbours: dict[int, set[int]] = {i: set() for i in range(len(titles))}
+    for a, b in pairs:
+        ya, yb = years[a], years[b]
+        if ya is not None and yb is not None and abs(ya - yb) > year_slack:
+            continue
+        common = len(shingles[a] & shingles[b])
+        jaccard = common / len(shingles[a] | shingles[b])
+        containment = common / min(len(shingles[a]), len(shingles[b]))
+        if jaccard >= threshold or containment >= containment_threshold:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    seen: set[int] = set()
+    clusters: list[list[int]] = []
+    for start in range(len(titles)):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for nxt in neighbours[frontier.pop()] - component:
+                component.add(nxt)
+                frontier.append(nxt)
+        seen |= component
+        if len(component) >= 2:
+            clusters.append(sorted(component))
+    return clusters, len(pairs)

@@ -2,8 +2,8 @@
 
 The store's contract is *parity*: on the same records, ``search`` and
 ``deduplicate`` must return bit-identical results to the in-memory
-:class:`Corpus` — the index and the SQL-blocked dedup are allowed to be
-faster, never different.
+:class:`Corpus` — the index and the SQL merge are allowed to be faster,
+never different.
 """
 
 import pytest
@@ -342,8 +342,14 @@ class TestTelemetry:
         assert snapshot["corpus.records_ingested"]["value"] == 3
         assert snapshot["corpus.query_hits"]["value"] == 2
         assert snapshot["corpus.dedup_clusters"]["value"] == 1
-        names = {span.name for span in telemetry.tracer.spans()}
-        assert {"corpus.ingest", "corpus.search", "corpus.dedup"} <= names
+        spans = {span.name: span for span in telemetry.tracer.spans()}
+        assert {
+            "corpus.ingest", "corpus.search", "corpus.dedup",
+            "corpus.dedup.cluster", "corpus.dedup.merge",
+        } <= set(spans)
+        dedup_id = spans["corpus.dedup"].span_id
+        assert spans["corpus.dedup.cluster"].parent_id == dedup_id
+        assert spans["corpus.dedup.merge"].parent_id == dedup_id
 
     def test_full_scan_counter(self):
         from repro.telemetry import Telemetry

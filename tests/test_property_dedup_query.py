@@ -4,16 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus.dedup import find_duplicates, merge_cluster
-from repro.corpus.publication import Publication
+from repro.corpus.dedup import cluster_titles, find_duplicates, merge_cluster
+from repro.corpus.publication import Publication, normalize_title
 from repro.corpus.query import Query
 from repro.errors import QueryError
+from tests.oracles import cluster_titles_reference
 
 words = st.sampled_from(
     "workflow orchestration scheduling energy cloud edge hpc data stream "
     "placement migration analytics portable kernel notebook".split()
 )
 titles = st.lists(words, min_size=3, max_size=8, unique=True).map(" ".join)
+# A small vocabulary so kernel titles share many shingles; "" and very
+# short words give empty and sub-shingle titles, "é" is dropped by
+# normalization.
+kernel_titles = st.lists(
+    st.sampled_from(["", "a", "hpc", "flow", "work", "workflow",
+                     "grid", "edge", "cloud", "stream", "é", "data"]),
+    max_size=7,
+).map(lambda parts: normalize_title(" ".join(parts)))
 
 
 class TestDedupProperties:
@@ -52,6 +61,29 @@ class TestDedupProperties:
         a = Publication(key="a", title=title, year=2020)
         b = Publication(key="b", title=title, year=2020)
         assert len(find_duplicates([a, b])) == 1
+
+    @given(
+        st.lists(
+            st.tuples(kernel_titles,
+                      st.sampled_from([None, 2000, 2001, 2003])),
+            max_size=30,
+        ),
+        st.sampled_from([0.5, 0.75, 1.0]),
+        st.sampled_from([0.6, 0.9, 1.0]),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_pair_oracle(
+        self, records, threshold, containment, shingle_size, year_slack
+    ):
+        titles = [title for title, _ in records]
+        years = [year for _, year in records]
+        knobs = dict(threshold=threshold, containment_threshold=containment,
+                     shingle_size=shingle_size, year_slack=year_slack)
+        assert cluster_titles(titles, years, **knobs) == (
+            cluster_titles_reference(titles, years, **knobs)
+        )
 
 
 class TestQueryProperties:

@@ -444,6 +444,38 @@ class TestStudyEndpoints:
         key = stable_digest("serve.study", ctx.seed, "table2")
         assert ctx.cache.get(key) is not None
 
+    def test_miss_after_finished_flight_reuses_payloads(
+        self, app, ctx, monkeypatch
+    ):
+        # Force the interleaving a burst only sometimes produces: the
+        # late request misses the cache, then reaches the single flight
+        # only after the leader's flight has stored and ended.
+        missed, leader_done = threading.Event(), threading.Event()
+        get = ctx.cache.get
+        results = []
+        late = threading.Thread(target=lambda: results.append(
+            dispatch(app, "GET", "/study/table1")
+        ))
+
+        def gated_get(key, default=None):
+            value = get(key, default)
+            if threading.current_thread() is late and not missed.is_set():
+                missed.set()
+                leader_done.wait(30.0)
+            return value
+
+        monkeypatch.setattr(ctx.cache, "get", gated_get)
+        late.start()
+        assert missed.wait(30.0)
+        status, payload = dispatch(app, "GET", "/study/table1")
+        leader_done.set()
+        late.join(30.0)
+        assert not late.is_alive()
+        assert status == 200
+        assert results == [(200, payload)]
+        snapshot = ctx.telemetry.metrics.snapshot()
+        assert snapshot["serve.study.computations"]["value"] == 1
+
 
 # -- the real HTTP server ---------------------------------------------------------
 
@@ -769,6 +801,12 @@ class TestConcurrentArtifactCache:
         barrier = threading.Barrier(n)
 
         def compute():
+            # Re-check inside the flight, as the study handler does: a
+            # request that missed the cache after the previous flight
+            # ended leads a new flight and must reuse the stored value.
+            cached = cache.get(key)
+            if cached is not None:
+                return cached
             value = {"expensive": True}
             cache.store(key, value)
             return value
