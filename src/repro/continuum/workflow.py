@@ -18,6 +18,10 @@ from repro.errors import ValidationError, WorkflowGraphError
 
 __all__ = ["Task", "Workflow", "random_workflow", "layered_workflow"]
 
+#: Upper-triangle pairs drawn per ``rng.random`` call in
+#: :func:`random_workflow`; bounds its working memory at ~9 MB.
+_EDGE_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class Task:
@@ -220,7 +224,13 @@ def random_workflow(
     """Generate a random DAG (edges only forward in a random order).
 
     Acyclicity holds by construction: tasks are laid out in a fixed order
-    and edges only go from earlier to later positions.
+    and edges only go from earlier to later positions.  Each pair
+    ``(i, j)`` with ``i < j`` is an edge with probability
+    *edge_probability*; the pairs are drawn in row-major order of the
+    strict upper triangle, in bounded chunks of uniforms, so memory is
+    O(chunk + edges) rather than O(n_tasks²).  Chunking does not change
+    the draw stream: the output is identical to one draw over the whole
+    triangle for every seed.
     """
     if n_tasks < 1:
         raise ValidationError("n_tasks must be >= 1")
@@ -229,17 +239,27 @@ def random_workflow(
     rng = np.random.default_rng(seed)
     works = rng.uniform(*work_range, size=n_tasks)
     outputs = rng.uniform(*output_range, size=n_tasks)
+    keys = [f"t{i:04d}" for i in range(n_tasks)]
     tasks = [
-        Task(f"t{i:04d}", float(works[i]), float(outputs[i]))
+        Task(keys[i], float(works[i]), float(outputs[i]))
         for i in range(n_tasks)
     ]
-    # Vectorized edge sampling over the strict upper triangle.
-    upper_i, upper_j = np.triu_indices(n_tasks, k=1)
-    chosen = rng.random(upper_i.size) < edge_probability
-    edges = [
-        (f"t{i:04d}", f"t{j:04d}")
-        for i, j in zip(upper_i[chosen], upper_j[chosen])
-    ]
+    # Row i of the strict upper triangle holds the pairs (i, i+1..n-1);
+    # row_start[i] is its first index in the flat row-major numbering.
+    rows = np.arange(n_tasks, dtype=np.int64)
+    row_start = rows * (n_tasks - 1) - rows * (rows - 1) // 2
+    n_pairs = n_tasks * (n_tasks - 1) // 2
+    edges: list[tuple[str, str]] = []
+    for lo in range(0, n_pairs, _EDGE_CHUNK):
+        # No name holds the uniforms, so each chunk is freed before the
+        # next one is drawn.
+        chosen = rng.random(min(_EDGE_CHUNK, n_pairs - lo)) < edge_probability
+        hits = np.flatnonzero(chosen) + lo
+        src = np.searchsorted(row_start, hits, side="right") - 1
+        dst = hits - row_start[src] + src + 1
+        edges.extend(
+            (keys[i], keys[j]) for i, j in zip(src.tolist(), dst.tolist())
+        )
     return Workflow(name or f"random-{n_tasks}", tasks, edges)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import StatsError
 from repro.stats.frequency import FrequencyTable
@@ -37,6 +36,8 @@ def align_tables(
 
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Spearman rank correlation and p-value for two aligned score vectors."""
+    from scipy import stats as sps
+
     va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if va.shape != vb.shape or va.ndim != 1 or va.size < 3:
         raise StatsError("need two aligned 1-D vectors of length >= 3")
@@ -46,6 +47,8 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
 
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Kendall's tau-b and p-value for two aligned score vectors."""
+    from scipy import stats as sps
+
     va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if va.shape != vb.shape or va.ndim != 1 or va.size < 3:
         raise StatsError("need two aligned 1-D vectors of length >= 3")

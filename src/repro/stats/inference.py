@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import StatsError
 from repro.stats.frequency import FrequencyTable
@@ -85,6 +84,27 @@ class TestResult:
         return self.p_value < alpha
 
 
+def _expected_counts(
+    obs: np.ndarray, expected_shares: Sequence[float] | None
+) -> np.ndarray:
+    """Expected counts under *expected_shares* (uniform when ``None``).
+
+    Every expected count must be positive: a zero share leaves both
+    goodness-of-fit statistics undefined.
+    """
+    if expected_shares is None:
+        return np.full_like(obs, obs.sum() / obs.size)
+    shares = np.asarray(expected_shares, dtype=np.float64)
+    if shares.shape != obs.shape:
+        raise StatsError("expected_shares length must match observed")
+    if not np.isclose(shares.sum(), 1.0):
+        raise StatsError("expected_shares must sum to 1")
+    exp = shares * obs.sum()
+    if (exp <= 0).any():
+        raise StatsError("expected counts must be strictly positive")
+    return exp
+
+
 def chi_square_gof(
     observed: CountsLike, expected_shares: Sequence[float] | None = None
 ) -> TestResult:
@@ -93,19 +113,10 @@ def chi_square_gof(
     Default null hypothesis is the uniform distribution — exactly the
     "effort is quite balanced" claim of Q2.
     """
+    from scipy import stats as sps
+
     obs = _as_counts(observed, "observed")
-    if expected_shares is None:
-        exp = np.full_like(obs, obs.sum() / obs.size)
-    else:
-        shares = np.asarray(expected_shares, dtype=np.float64)
-        if shares.shape != obs.shape:
-            raise StatsError("expected_shares length must match observed")
-        if not np.isclose(shares.sum(), 1.0):
-            raise StatsError("expected_shares must sum to 1")
-        exp = shares * obs.sum()
-    if (exp <= 0).any():
-        raise StatsError("expected counts must be strictly positive")
-    statistic, p_value = sps.chisquare(obs, exp)
+    statistic, p_value = sps.chisquare(obs, _expected_counts(obs, expected_shares))
     return TestResult(float(statistic), float(p_value), obs.size - 1, "chi-square GOF")
 
 
@@ -113,20 +124,19 @@ def g_test_gof(
     observed: CountsLike, expected_shares: Sequence[float] | None = None
 ) -> TestResult:
     """G-test (log-likelihood ratio) goodness-of-fit; robust for small counts."""
+    from scipy import stats as sps
+
     obs = _as_counts(observed, "observed")
-    if expected_shares is None:
-        exp = np.full_like(obs, obs.sum() / obs.size)
-    else:
-        shares = np.asarray(expected_shares, dtype=np.float64)
-        if shares.shape != obs.shape or not np.isclose(shares.sum(), 1.0):
-            raise StatsError("expected_shares must match observed and sum to 1")
-        exp = shares * obs.sum()
-    statistic, p_value = sps.power_divergence(obs, exp, lambda_="log-likelihood")
+    statistic, p_value = sps.power_divergence(
+        obs, _expected_counts(obs, expected_shares), lambda_="log-likelihood"
+    )
     return TestResult(float(statistic), float(p_value), obs.size - 1, "G-test GOF")
 
 
 def chi_square_homogeneity(a: CountsLike, b: CountsLike) -> TestResult:
     """Chi-square homogeneity test for two count vectors over the same categories."""
+    from scipy import stats as sps
+
     va, vb = _as_counts(a, "a"), _as_counts(b, "b")
     if va.shape != vb.shape:
         raise StatsError("both count vectors need the same categories")

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as sps
-
 from repro.errors import StatsError
 from repro.stats.frequency import FrequencyTable
 from repro.stats.inference import TestResult
@@ -48,6 +46,8 @@ def wilson_interval(
     >>> low < 11 / 28 < high
     True
     """
+    from scipy import stats as sps
+
     _check_counts(successes, trials)
     if not 0 < confidence < 1:
         raise StatsError("confidence must be in (0, 1)")
@@ -76,6 +76,8 @@ def jeffreys_interval(
     limit is 0 when ``successes == 0`` and the upper limit 1 when
     ``successes == trials``.
     """
+    from scipy import stats as sps
+
     _check_counts(successes, trials)
     if not 0 < confidence < 1:
         raise StatsError("confidence must be in (0, 1)")
@@ -94,6 +96,8 @@ def two_proportion_test(
     Suitable for questions like "is orchestration's supply share (7/25)
     different from its demand share (11/28)?".
     """
+    from scipy import stats as sps
+
     _check_counts(successes_a, trials_a)
     _check_counts(successes_b, trials_b)
     pooled = (successes_a + successes_b) / (trials_a + trials_b)

@@ -1,5 +1,7 @@
 """Unit tests for the workflow DAG model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.continuum.workflow import (
@@ -116,6 +118,18 @@ class TestGenerators:
             random_workflow(0)
         with pytest.raises(ValidationError):
             random_workflow(5, edge_probability=1.5)
+
+    def test_random_workflow_memory_bounded(self):
+        # 8M upper-triangle pairs: anything O(n_tasks²) needs well over
+        # 100 MB here, a chunked draw about 12 MB.
+        tracemalloc.start()
+        try:
+            wf = random_workflow(4000, edge_probability=0.001, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(wf.edges) == 7874
+        assert peak < 32 * 2**20
 
     def test_layered_workflow_shape(self):
         wf = layered_workflow(3, 4)
