@@ -12,7 +12,9 @@
 #   scripts/check.sh --bench         # tier-1 suite + benchmarks/ suite
 #   scripts/check.sh --gate          # suite, then record + regression gate
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
-#                                    # port, hit /health, shut down clean
+#                                    # port over a temp corpus store, hit
+#                                    # /health and /corpus/stats (twice),
+#                                    # shut down clean
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
 #
@@ -47,21 +49,50 @@ done
 
 if [ "${RUN_SMOKE}" -eq 1 ]; then
     # Serve smoke test: boot the HTTP service on an ephemeral port in-
-    # process, hit /health, and shut down gracefully. Exercises the real
-    # socket path (worker pool, keep-alive, graceful close) end to end.
+    # process over a three-record corpus store, hit /health, read
+    # /corpus/stats twice (cold, then from the store's aggregate cache),
+    # and shut down gracefully. Exercises the real socket path (worker
+    # pool, keep-alive, graceful close) end to end.
     python - <<'SMOKE'
 import json
 import sys
+import tempfile
 import urllib.request
+from pathlib import Path
 
+from repro.corpus.publication import Publication
+from repro.corpus.store import CorpusStore
 from repro.serve import ServerHandle, build_context
 
-ctx = build_context(job_workers=1, queue_size=2)
-with ServerHandle(ctx, workers=4) as handle:
-    with urllib.request.urlopen(handle.url + "/health", timeout=10) as r:
-        payload = json.loads(r.read())
+
+def get(url):
+    with urllib.request.urlopen(url, timeout=10) as r:
+        return r.read()
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    store_path = Path(tmp) / "corpus.sqlite3"
+    with CorpusStore(store_path) as store:
+        store.extend([
+            Publication(key="k1", title="Workflow engines", year=2019),
+            Publication(key="k2", title="Scientific pipelines", year=2021),
+            Publication(key="k3", title="Workflow provenance"),
+        ])
+        expected = store.stats()
+    expected["year_range"] = list(expected["year_range"])
+    ctx = build_context(store_path=store_path, job_workers=1, queue_size=2)
+    try:
+        with ServerHandle(ctx, workers=4) as handle:
+            payload = json.loads(get(handle.url + "/health"))
+            cold = get(handle.url + "/corpus/stats")
+            warm = get(handle.url + "/corpus/stats")
+    finally:
+        ctx.store.close()
 assert payload["status"] == "ok", payload
-print(f"serve smoke: /health ok on {handle.url}, graceful shutdown clean")
+assert cold == warm, (cold, warm)
+assert json.loads(cold) == expected, (cold, expected)
+print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
+      f"{expected['records']} records twice, graceful shutdown clean")
 sys.exit(0)
 SMOKE
     exit 0

@@ -22,7 +22,15 @@ hundreds of records the study saw to millions:
   :func:`repro.corpus.dedup.cluster_titles`, the one blocking, scoring
   and clustering kernel ``Corpus.deduplicate`` also runs, in O(records)
   memory; only the merge, delete and re-index run in SQL.  The merged
-  result is bit-identical to ``Corpus.deduplicate`` on the same records.
+  result is bit-identical to ``Corpus.deduplicate`` on the same records;
+* **aggregates from the sorted indexes, cached per data version** —
+  :meth:`CorpusStore.stats` counts distinct terms by walking the
+  ``(term, pub_id)`` primary key in term order (no temp B-tree) and
+  reads the year span with two ``idx_pubs_year`` seeks.  ``stats``,
+  ``year_range``, ``by_year`` and ``by_venue`` keep their SQL rows until
+  the data version moves (a commit by another connection, or any write
+  through this one), so repeated reads of an unchanged store cost one
+  ``PRAGMA data_version``.
 
 Every phase is instrumented with :mod:`repro.telemetry` spans and
 ``corpus.*`` counters behind the usual zero-overhead null default.
@@ -104,6 +112,22 @@ CREATE TABLE IF NOT EXISTS postings (
 ) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS idx_postings_pub ON postings(pub_id);
 """
+
+#: Records, postings and distinct terms.  ``SELECT DISTINCT term`` walks
+#: the ``(term, pub_id)`` primary key in term order; the one-pass
+#: ``COUNT(DISTINCT term)`` form scans ``idx_postings_pub`` instead and
+#: sorts every posting through a temp B-tree (52 vs 13 ms on a 5,000-record
+#: store, SQLite 3.40, 2-core VM).
+_STATS_SQL = (
+    "SELECT (SELECT COUNT(*) FROM pubs), (SELECT COUNT(*) FROM postings),"
+    " COUNT(*) FROM (SELECT DISTINCT term FROM postings)"
+)
+
+#: Earliest and latest year.  Each subquery is one ``idx_pubs_year``
+#: seek; ``SELECT MIN(year), MAX(year)`` in one query scans the index.
+_YEAR_RANGE_SQL = (
+    "SELECT (SELECT MIN(year) FROM pubs), (SELECT MAX(year) FROM pubs)"
+)
 
 
 def _index_terms(publication: Publication) -> set[str]:
@@ -215,6 +239,8 @@ class CorpusStore:
             str(self.path) if self.path is not None else ":memory:",
             check_same_thread=not threadsafe,
         )
+        #: Aggregate SQL -> (data version it was read at, its rows).
+        self._aggregates: dict[str, tuple[tuple[int, int], tuple]] = {}
         if self.path is not None:
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
@@ -588,6 +614,26 @@ class CorpusStore:
             return union
         raise CorpusError(f"unknown query node {node!r}")  # pragma: no cover
 
+    def _aggregate(self, sql: str) -> tuple[tuple, ...]:
+        """The rows of a fixed aggregate ``SELECT``, cached per data version.
+
+        The version is ``(PRAGMA data_version, total_changes)``: the
+        first moves when another connection commits, the second on every
+        write through this one (``store.db`` included).  Nothing is
+        cached inside an open transaction, whose rows a rollback could
+        still discard.
+        """
+        db = self.db
+        version = (db.execute("PRAGMA data_version").fetchone()[0],
+                   db.total_changes)
+        cached = self._aggregates.get(sql)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        rows = tuple(db.execute(sql))
+        if not db.in_transaction:
+            self._aggregates[sql] = (version, rows)
+        return rows
+
     def by_year(self) -> FrequencyTable:
         """Publication counts per year over the full corpus range.
 
@@ -596,11 +642,10 @@ class CorpusStore:
         """
         first, last = self.year_range()
         counts = {year: 0 for year in range(first, last + 1)}
-        for year, count in self.db.execute(
+        counts.update(self._aggregate(
             "SELECT year, COUNT(*) FROM pubs WHERE year IS NOT NULL"
             " GROUP BY year"
-        ):
-            counts[year] = count
+        ))
         return FrequencyTable(counts)
 
     def by_venue(
@@ -610,13 +655,14 @@ class CorpusStore:
 
         Aggregation happens in SQL (``GROUP BY venue``), so only the
         distinct raw venue strings — not every publication row — cross
-        into Python; the normalizer then folds raw spellings together.
+        into Python; the normalizer then folds raw spellings together on
+        every call, so the cached SQL rows serve any *normalizer*.
         Identical to :meth:`repro.corpus.corpus.Corpus.by_venue` on the
         same records.
         """
         normalizer = normalizer or VenueNormalizer()
         counts: dict[str, int] = {}
-        for venue, count in self.db.execute(
+        for venue, count in self._aggregate(
             "SELECT venue, COUNT(*) FROM pubs GROUP BY venue"
         ):
             name = normalizer.normalize(venue) or "(unknown)"
@@ -628,12 +674,15 @@ class CorpusStore:
 
     def year_range(self) -> tuple[int, int]:
         """(earliest, latest) publication year."""
-        first, last = self.db.execute(
-            "SELECT MIN(year), MAX(year) FROM pubs"
-        ).fetchone()
-        if first is None:
+        span = self._year_span()
+        if span is None:
             raise CorpusError("no publication has a year")
-        return first, last
+        return span
+
+    def _year_span(self) -> tuple[int, int] | None:
+        """(earliest, latest) year, or ``None`` when no record has one."""
+        ((first, last),) = self._aggregate(_YEAR_RANGE_SQL)
+        return None if first is None else (first, last)
 
     # -- deduplication ----------------------------------------------------------------
 
@@ -747,20 +796,19 @@ class CorpusStore:
     # -- introspection -------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Store size snapshot: records, index size, year span, location."""
-        db = self.db
-        records = len(self)
-        postings, terms = db.execute(
-            "SELECT COUNT(*), COUNT(DISTINCT term) FROM postings"
-        ).fetchone()
-        first, last = db.execute(
-            "SELECT MIN(year), MAX(year) FROM pubs"
-        ).fetchone()
+        """Store size snapshot: records, index size, year span, location.
+
+        The counts come from the sorted indexes (see :data:`_STATS_SQL`)
+        and are cached per data version, so a repeat call on an unchanged
+        store issues only ``PRAGMA data_version``.  Each call returns a
+        fresh dict.
+        """
+        ((records, postings, terms),) = self._aggregate(_STATS_SQL)
         return {
             "records": records,
             "postings": postings,
             "terms": terms,
-            "year_range": None if first is None else (first, last),
+            "year_range": self._year_span(),
             "path": str(self.path) if self.path is not None else None,
         }
 

@@ -20,7 +20,10 @@ is reachable from ``src/``.
 * :func:`dedup_candidates_reference`, :func:`cluster_titles_reference` —
   the dedup candidate pairs and clusters built from their definitions,
   which ``repro.corpus.dedup.cluster_titles`` counts and finds without
-  materializing the pair set.
+  materializing the pair set;
+* :func:`store_stats_reference`, :func:`store_by_year_reference`,
+  :func:`store_by_venue_reference` — ``CorpusStore`` aggregates by full
+  scans of the live tables, with no index shortcut and no cache.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from repro.continuum.scheduling import (
 from repro.continuum.simulate import ExecutionTrace
 from repro.continuum.workflow import Workflow
 from repro.corpus.dedup import BLOCKING_KEYS, title_shingles
-from repro.errors import ContinuumError, SchedulingError
+from repro.corpus.venues import VenueNormalizer
+from repro.errors import ContinuumError, CorpusError, SchedulingError
+from repro.stats.frequency import FrequencyTable
 
 # -- scheduling ---------------------------------------------------------------
 
@@ -550,3 +555,57 @@ def cluster_titles_reference(
         if len(component) >= 2:
             clusters.append(sorted(component))
     return clusters, len(pairs)
+
+
+# -- corpus store aggregates ----------------------------------------------------
+
+
+def store_stats_reference(store) -> dict:
+    """``CorpusStore.stats()`` as one scan per table.
+
+    The original SQL: a single ``COUNT(DISTINCT term)`` pass over the
+    postings and a single ``MIN(year), MAX(year)`` pass over the records.
+    """
+    db = store.db
+    (records,) = db.execute("SELECT COUNT(*) FROM pubs").fetchone()
+    postings, terms = db.execute(
+        "SELECT COUNT(*), COUNT(DISTINCT term) FROM postings"
+    ).fetchone()
+    first, last = db.execute("SELECT MIN(year), MAX(year) FROM pubs").fetchone()
+    return {
+        "records": records,
+        "postings": postings,
+        "terms": terms,
+        "year_range": None if first is None else (first, last),
+        "path": str(store.path) if store.path is not None else None,
+    }
+
+
+def store_by_year_reference(store) -> FrequencyTable:
+    """``CorpusStore.by_year()`` counted in Python from every record row."""
+    years = Counter(
+        year
+        for (year,) in store.db.execute("SELECT year FROM pubs")
+        if year is not None
+    )
+    if not years:
+        raise CorpusError("no publication has a year")
+    return FrequencyTable(
+        {year: years[year] for year in range(min(years), max(years) + 1)}
+    )
+
+
+def store_by_venue_reference(
+    store, normalizer: VenueNormalizer | None = None
+) -> FrequencyTable:
+    """``CorpusStore.by_venue()`` normalized and counted row by row."""
+    normalizer = normalizer or VenueNormalizer()
+    counts = Counter(
+        normalizer.normalize(venue) or "(unknown)"
+        for (venue,) in store.db.execute("SELECT venue FROM pubs")
+    )
+    if not counts:
+        raise CorpusError("corpus store is empty")
+    return FrequencyTable(
+        dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    )
