@@ -7,8 +7,8 @@ Three demonstrations, each usable on its own:
    the context manager and the ``@traced`` decorator, then the recorded
    tree printed with parent links and wall/CPU split;
 2. the :class:`~repro.telemetry.MetricsRegistry` standalone — counters,
-   a gauge high-watermark, and a histogram with numpy-backed
-   percentiles;
+   a gauge high-watermark, and a histogram whose percentiles come from
+   a mergeable quantile sketch;
 3. the full study pipeline run under a :class:`~repro.telemetry.Telemetry`
    context: the plain-text profile report (top stages by self time,
    cache hit ratios) plus a Chrome trace written to
@@ -67,9 +67,7 @@ def demo_metrics() -> None:
     registry = MetricsRegistry()
     accepted = registry.counter("papers.accepted")
     inflight = registry.gauge("screeners.active")
-    latency = registry.histogram(
-        "screening.seconds", bounds=(0.01, 0.05, 0.1, 0.5)
-    )
+    latency = registry.histogram("screening.seconds")
 
     for i in range(40):
         inflight.add(1)
@@ -82,7 +80,7 @@ def demo_metrics() -> None:
     print(f"  peak active screeners:  {inflight.max:.0f}")
     print(f"  screening latency p50:  {summary['p50'] * 1e3:.1f} ms   "
           f"p99: {summary['p99'] * 1e3:.1f} ms")
-    print(f"  bucket counts:          {latency.bucket_counts()}\n")
+    print(f"  sketch buckets in use:  {len(summary['sketch']['pos'])}\n")
 
 
 def demo_pipeline_profile() -> None:

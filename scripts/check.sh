@@ -13,8 +13,8 @@
 #   scripts/check.sh --gate          # suite, then record + regression gate
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
 #                                    # port over a temp corpus store, hit
-#                                    # /health and /corpus/stats (twice),
-#                                    # shut down clean
+#                                    # /health, /corpus/stats (twice) and
+#                                    # /metrics, shut down clean
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
 #
@@ -51,8 +51,10 @@ if [ "${RUN_SMOKE}" -eq 1 ]; then
     # Serve smoke test: boot the HTTP service on an ephemeral port in-
     # process over a three-record corpus store, hit /health, read
     # /corpus/stats twice (cold, then from the store's aggregate cache),
-    # and shut down gracefully. Exercises the real socket path (worker
-    # pool, keep-alive, graceful close) end to end.
+    # check /metrics counted both reads in a mergeable latency sketch,
+    # and shut down gracefully (which also closes the store). Exercises
+    # the real socket path (worker pool, keep-alive, graceful close) end
+    # to end.
     python - <<'SMOKE'
 import json
 import sys
@@ -63,6 +65,7 @@ from pathlib import Path
 from repro.corpus.publication import Publication
 from repro.corpus.store import CorpusStore
 from repro.serve import ServerHandle, build_context
+from repro.stats.sketch import QuantileSketch
 
 
 def get(url):
@@ -81,16 +84,17 @@ with tempfile.TemporaryDirectory() as tmp:
         expected = store.stats()
     expected["year_range"] = list(expected["year_range"])
     ctx = build_context(store_path=store_path, job_workers=1, queue_size=2)
-    try:
-        with ServerHandle(ctx, workers=4) as handle:
-            payload = json.loads(get(handle.url + "/health"))
-            cold = get(handle.url + "/corpus/stats")
-            warm = get(handle.url + "/corpus/stats")
-    finally:
-        ctx.store.close()
+    with ServerHandle(ctx, workers=4) as handle:
+        payload = json.loads(get(handle.url + "/health"))
+        cold = get(handle.url + "/corpus/stats")
+        warm = get(handle.url + "/corpus/stats")
+        metrics = json.loads(get(handle.url + "/metrics"))
 assert payload["status"] == "ok", payload
 assert cold == warm, (cold, warm)
 assert json.loads(cold) == expected, (cold, expected)
+latency = metrics["serve.request_seconds.corpus_stats"]
+assert latency["count"] == 2, latency
+assert QuantileSketch.from_dict(latency["sketch"]).count == 2, latency
 print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
       f"{expected['records']} records twice, graceful shutdown clean")
 sys.exit(0)

@@ -17,6 +17,7 @@ it).
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -92,6 +93,14 @@ class ServeContext:
     registry: Any = None
     seed: int = 2023
     store_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def close(self, *, drain: bool = True) -> None:
+        """Close the job queue (draining queued jobs when *drain*), then
+        the corpus store, if one is attached."""
+        self.jobs.close(drain=drain)
+        if self.store is not None:
+            with self.store_lock:
+                self.store.close()
 
 
 # -- study endpoints --------------------------------------------------------------
@@ -327,6 +336,14 @@ def _sweep_payload(body: Any) -> dict[str, Any]:
                 f"got {type(value).__name__}"
             )
         payload[name] = value
+    # Each sweep worker is a forked process, all started up front: the
+    # client may not ask for more than the host has cores.
+    cores = os.cpu_count() or 1
+    if not 0 <= payload["workers"] <= cores:
+        raise MonteCarloError(
+            f"sweep field 'workers' must be in [0, {cores}], "
+            f"got {payload['workers']}"
+        )
     return payload
 
 

@@ -3,10 +3,14 @@
 Fixed-bucket histograms answer quantile queries in O(buckets) memory,
 but their accuracy is pinned to a range chosen *before* the data
 arrives, and their merge story stops at "add the count arrays" — sound
-only when every partial aggregate was built with identical edges.
-Scaling sweeps across processes and hosts (ROADMAP item 5) needs a
-summary whose partial states combine *exactly*, no matter how the stream
-was split.
+only when every partial aggregate was built with identical edges.  The
+package's quantiles need a summary whose partial states combine
+*exactly*, no matter how the stream was split.  It has two users: the
+Monte-Carlo sweep cells (:class:`repro.continuum.montecarlo.CellAggregate`),
+whose partial aggregates from any worker or host combine into one cell,
+and the telemetry histograms behind ``/metrics``
+(:class:`repro.telemetry.metrics.Histogram`), whose snapshots from
+separate registries, servers or processes merge into one.
 
 :class:`QuantileSketch` is that summary.  It is a log-bucket sketch in
 the DDSketch family (Masson et al., VLDB 2019): a value ``v > 0`` lands

@@ -7,8 +7,8 @@ The observability layer the scaling work measures itself with:
   context-manager and decorator APIs and a thread-safe buffer, so
   parallel pipeline stages trace correctly;
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with
-  counters, gauges, and fixed-bucket histograms (numpy-backed
-  percentiles), pre-registered with the pipeline metrics;
+  counters, gauges, and histograms backed by mergeable quantile
+  sketches, pre-registered with the pipeline metrics;
 * :mod:`repro.telemetry.export` — newline-delimited JSON events and
   Chrome ``chrome://tracing`` trace files;
 * :mod:`repro.telemetry.profile` — the plain-text profile report (top
@@ -58,12 +58,10 @@ from repro.telemetry.log import (
 )
 from repro.telemetry.metrics import (
     Counter,
-    DEFAULT_LATENCY_BUCKETS,
     Gauge,
     Histogram,
     MetricsRegistry,
     PIPELINE_METRICS,
-    log_spaced_bounds,
 )
 from repro.telemetry.profile import (
     StageProfile,
@@ -76,7 +74,6 @@ from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
     "LOG_LEVELS",
@@ -98,7 +95,6 @@ __all__ = [
     "chrome_trace",
     "ensure",
     "load_chrome_trace",
-    "log_spaced_bounds",
     "profile_report",
     "render_trace",
     "span_events",

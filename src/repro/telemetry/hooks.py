@@ -15,7 +15,7 @@ instrumentation can stay inline on hot paths.  Passing
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from repro.telemetry.log import NULL_LOGGER, NullLogger, StructuredLogger
 from repro.telemetry.metrics import MetricsRegistry
@@ -70,13 +70,9 @@ class _NullHistogram:
     count = 0
     total = 0.0
     mean = 0.0
-    bounds = ()
 
     def observe(self, value: float) -> None:
         pass
-
-    def bucket_counts(self) -> dict[str, int]:
-        return {}
 
     def summary(self) -> dict[str, Any]:
         return {"kind": self.kind, "count": 0}
@@ -100,9 +96,7 @@ class NullMetricsRegistry:
         """The shared no-op gauge."""
         return _NULL_GAUGE
 
-    def histogram(
-        self, name: str, *, bounds: Sequence[float] = ()
-    ) -> _NullHistogram:
+    def histogram(self, name: str) -> _NullHistogram:
         """The shared no-op histogram."""
         return _NULL_HISTOGRAM
 

@@ -7,8 +7,10 @@ Three instrument kinds cover the pipeline's observability needs:
 * :class:`Gauge` — a settable level with a high-watermark, used with
   :meth:`Gauge.add` as an in-flight counter whose ``max`` is the
   parallelism actually achieved;
-* :class:`Histogram` — fixed-bucket distribution of observations (stage
-  durations) with numpy-backed percentile summaries.
+* :class:`Histogram` — distribution of observations (stage and request
+  durations) held in a :class:`~repro.stats.sketch.QuantileSketch`, so
+  its p50/p90/p99 cover every observation within 1% relative error and
+  snapshots from separate threads or processes merge exactly.
 
 All instruments are thread-safe (one lock per instrument), and every
 instrument has a zero-overhead null twin so the disabled-telemetry path
@@ -25,60 +27,18 @@ costs nothing (see :mod:`repro.telemetry.hooks`).
 from __future__ import annotations
 
 import threading
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import TelemetryError
+from repro.stats.sketch import QuantileSketch
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "DEFAULT_SECONDS_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS",
     "PIPELINE_METRICS",
-    "log_spaced_bounds",
 ]
-
-#: Default histogram buckets for durations in seconds: 1 ms … 30 s.
-DEFAULT_SECONDS_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
-)
-
-
-def log_spaced_bounds(
-    lo: float, hi: float, count: int
-) -> tuple[float, ...]:
-    """*count* geometrically spaced histogram bucket bounds in ``[lo, hi]``.
-
-    The fixed :data:`DEFAULT_SECONDS_BUCKETS` start at 1 ms, so every
-    warm-cache request latency (tens of microseconds) collapses into the
-    lowest bucket and the bucket view of the distribution degenerates to
-    a single bar.  Log-spaced bounds keep constant *relative* resolution
-    across scales, which is what latency distributions need.
-
-    >>> bounds = log_spaced_bounds(1e-4, 10.0, 6)
-    >>> len(bounds), bounds[0], bounds[-1]
-    (6, 0.0001, 10.0)
-    """
-    if count < 2:
-        raise TelemetryError(
-            f"log_spaced_bounds needs count >= 2, got {count}"
-        )
-    if not (lo > 0 and hi > lo):
-        raise TelemetryError(
-            f"log_spaced_bounds needs 0 < lo < hi, got lo={lo}, hi={hi}"
-        )
-    ratio = hi / lo
-    bounds = [lo * ratio ** (i / (count - 1)) for i in range(count)]
-    bounds[0], bounds[-1] = lo, hi  # exact endpoints, no float drift
-    return tuple(bounds)
-
-
-#: Default buckets for request latencies: 10 µs … 10 s, log-spaced, so
-#: sub-millisecond warm-cache responses spread over many buckets instead
-#: of collapsing into the first one.
-DEFAULT_LATENCY_BUCKETS = log_spaced_bounds(1e-5, 10.0, 25)
 
 #: The metrics :meth:`MetricsRegistry.for_pipeline` pre-registers, with
 #: the instrument kind each name maps to.
@@ -175,43 +135,25 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket distribution with numpy-backed percentile summaries.
+    """Distribution of observations, summarized by a :class:`QuantileSketch`.
 
-    Observations are counted into fixed buckets (``bounds`` are upper
-    edges; one overflow bucket catches the rest) *and* retained raw, so
-    :meth:`percentile` can answer exactly.  Retention is capped — after
-    *max_samples* raw values the reservoir stops growing (bucket counts
-    and totals stay exact) — keeping memory bounded on hot paths.
+    Every observation lands in the sketch, so percentiles cover the
+    whole stream within the sketch's relative error ``alpha`` (1%), at
+    any count and any scale from microseconds to minutes.  Exact
+    ``count``/``total``/``max`` ride alongside.  The sketch state is a
+    pure function of the observed multiset, so the ``sketch`` payloads
+    of summaries taken in separate registries, workers or processes
+    merge exactly through :meth:`QuantileSketch.merge`.
     """
 
-    __slots__ = (
-        "name", "_lock", "bounds", "_bucket_counts",
-        "_samples", "_max_samples", "_count", "_total", "_max",
-    )
+    __slots__ = ("name", "_lock", "_sketch", "_count", "_total", "_max")
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        bounds: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-        max_samples: int = 4096,
-    ) -> None:
-        ordered = tuple(float(b) for b in bounds)
-        if not ordered or any(
-            b2 <= b1 for b1, b2 in zip(ordered, ordered[1:])
-        ):
-            raise TelemetryError(
-                f"histogram {name!r} bucket bounds must be strictly "
-                f"increasing and non-empty: {bounds!r}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
-        self.bounds = ordered
-        self._bucket_counts = [0] * (len(ordered) + 1)
-        self._samples: list[float] = []
-        self._max_samples = max_samples
+        self._sketch = QuantileSketch()
         self._count = 0
         self._total = 0.0
         self._max = 0.0
@@ -219,19 +161,12 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        index = 0
-        for index, bound in enumerate(self.bounds):  # noqa: B007
-            if value <= bound:
-                break
-        else:
-            index = len(self.bounds)
         with self._lock:
-            self._bucket_counts[index] += 1
+            self._sketch.add(value)
             self._count += 1
             self._total += value
-            self._max = max(self._max, value)
-            if len(self._samples) < self._max_samples:
-                self._samples.append(value)
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:
@@ -248,98 +183,26 @@ class Histogram:
         """Arithmetic mean of all observations (0.0 when empty)."""
         return self._total / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> dict[str, int]:
-        """Counts per bucket, keyed by ``"<=bound"`` (plus ``"+inf"``)."""
-        with self._lock:
-            counts = list(self._bucket_counts)
-        labels = [f"<={bound:g}" for bound in self.bounds] + ["+inf"]
-        return dict(zip(labels, counts))
-
-    def percentile(self, q: float | Sequence[float]) -> Any:
-        """The *q*-th percentile(s) of retained observations (numpy).
-
-        Raises :class:`~repro.errors.TelemetryError` on an empty
-        histogram — an empty distribution has no percentiles.
-        """
-        import numpy as np
-
-        with self._lock:
-            if not self._samples:
-                raise TelemetryError(
-                    f"histogram {self.name!r} has no observations"
-                )
-            values = np.asarray(self._samples)
-        result = np.percentile(values, q)
-        if isinstance(q, (int, float)):
-            return float(result)
-        return [float(v) for v in result]
-
-    def percentile_estimate(self, q: float | Sequence[float]) -> Any:
-        """Bucket-interpolated percentile estimate over ALL observations.
-
-        :meth:`percentile` is exact but answers from the raw-sample
-        reservoir, which stops growing after *max_samples* observations —
-        on a hot path (the serve layer's request histograms) the exact
-        percentiles would silently describe only the run's first
-        observations.  This estimator interpolates within the bucket
-        counts instead, which cover every observation; resolution is the
-        bucket width, so pair it with :func:`log_spaced_bounds` for
-        latency-scale accuracy.
-        """
-        if isinstance(q, (int, float)):
-            return self._estimate_one(float(q))
-        return [self._estimate_one(float(value)) for value in q]
-
-    def _estimate_one(self, q: float) -> float:
-        if not 0.0 <= q <= 100.0:
-            raise TelemetryError(
-                f"percentile must be in [0, 100], got {q}"
-            )
-        with self._lock:
-            counts = list(self._bucket_counts)
-            total = self._count
-            observed_max = self._max
-        if total == 0:
-            raise TelemetryError(
-                f"histogram {self.name!r} has no observations"
-            )
-        # Bucket i spans (edges[i], edges[i+1]]; the first bucket opens
-        # at 0 for duration-style bounds, and the overflow bucket closes
-        # at the observed maximum.
-        first_lo = 0.0 if self.bounds[0] > 0 else self.bounds[0]
-        edges = [first_lo, *self.bounds, max(observed_max, self.bounds[-1])]
-        target = q / 100.0 * total
-        cumulative = 0.0
-        for index, count in enumerate(counts):
-            if cumulative + count >= target and count:
-                lo, hi = edges[index], edges[index + 1]
-                fraction = (target - cumulative) / count
-                return lo + (hi - lo) * min(max(fraction, 0.0), 1.0)
-            cumulative += count
-        return float(observed_max)
-
     def summary(self) -> dict[str, Any]:
-        """Snapshot with count/mean/max and p50/p90/p99 when non-empty.
-
-        Percentiles are exact while every observation still fits the
-        raw-sample reservoir; once the reservoir has overflowed they
-        switch to the bucket-interpolated :meth:`percentile_estimate`,
-        which keeps covering the full stream.
-        """
+        """Snapshot with count/mean/max, the sketch state, and
+        p50/p90/p99 when non-empty."""
+        with self._lock:
+            sketch = self._sketch.copy()
+            count, total, peak = self._count, self._total, self._max
         summary: dict[str, Any] = {
             "kind": self.kind,
-            "count": self._count,
-            "total": self._total,
-            "mean": self.mean,
-            "max": self._max,
-            "buckets": self.bucket_counts(),
+            "count": count,
+            "total": total,
+            "mean": total / count if count else 0.0,
+            "max": peak,
+            "sketch": sketch.to_dict(),
         }
-        if self._count:
-            if self._count > len(self._samples):
-                p50, p90, p99 = self.percentile_estimate([50, 90, 99])
-            else:
-                p50, p90, p99 = self.percentile([50, 90, 99])
-            summary.update({"p50": p50, "p90": p90, "p99": p99})
+        if count:
+            summary.update(
+                p50=sketch.quantile(0.5),
+                p90=sketch.quantile(0.9),
+                p99=sketch.quantile(0.99),
+            )
         return summary
 
 
@@ -387,16 +250,9 @@ class MetricsRegistry:
         """The gauge registered under *name* (created on first use)."""
         return self._get_or_create(name, "gauge", lambda: Gauge(name))
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        bounds: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram registered under *name* (created on first use)."""
-        return self._get_or_create(
-            name, "histogram", lambda: Histogram(name, bounds=bounds)
-        )
+        return self._get_or_create(name, "histogram", lambda: Histogram(name))
 
     def names(self) -> tuple[str, ...]:
         """Every registered metric name, sorted."""

@@ -9,11 +9,13 @@ import doctest
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
 import repro
 import repro.continuum
+import repro.telemetry
 
 PUBLIC_MODULES = sorted(
     name
@@ -142,3 +144,52 @@ def test_round_engine_lives_in_one_module(module_name):
     module = importlib.import_module(module_name)
     found = sorted(ROUND_ENGINE_NAMES & set(vars(module)))
     assert not found, f"{module_name} defines round-engine code {found}"
+
+
+TELEMETRY_MODULES = ["repro.telemetry"] + sorted(
+    name
+    for _, name, _ in pkgutil.walk_packages(
+        repro.telemetry.__path__, prefix="repro.telemetry."
+    )
+)
+
+#: The fixed-bucket histogram's API, replaced by QuantileSketch.
+BUCKET_HISTOGRAM_NAMES = {
+    "log_spaced_bounds",
+    "percentile_estimate",
+    "bucket_counts",
+}
+
+
+@pytest.mark.parametrize("module_name", TELEMETRY_MODULES)
+def test_telemetry_has_one_quantile_type(module_name):
+    module = importlib.import_module(module_name)
+    names = list(getattr(module, "__all__", ()))
+    for name, obj in vars(module).items():
+        names.append(name)
+        if inspect.isclass(obj) and obj.__module__ == module_name:
+            names += [f"{name}.{attr}" for attr in vars(obj)]
+    found = [
+        qualname
+        for qualname in names
+        if (leaf := qualname.rsplit(".", 1)[-1]) in BUCKET_HISTOGRAM_NAMES
+        or leaf.endswith("_BUCKETS")
+    ]
+    assert not found, f"{module_name} defines bucket-histogram code {found}"
+    source = inspect.getsource(module)
+    assert not re.search(r"\b(np|numpy)\.(nan)?percentile\b", source), (
+        f"{module_name} computes percentiles outside QuantileSketch"
+    )
+
+
+def test_registry_histograms_are_sketch_backed():
+    from repro.stats.sketch import QuantileSketch
+    from repro.telemetry import MetricsRegistry
+    from repro.telemetry.hooks import NullMetricsRegistry
+
+    registry = MetricsRegistry.for_pipeline()
+    for name in ("pipeline.stage_seconds", "serve.request_seconds.health"):
+        assert type(registry.histogram(name)._sketch) is QuantileSketch
+    # No bucket bounds or other knobs: a histogram is chosen by name only.
+    for factory in (MetricsRegistry.histogram, NullMetricsRegistry.histogram):
+        assert list(inspect.signature(factory).parameters) == ["self", "name"]

@@ -6,6 +6,7 @@ concurrency guarantees the worker pool leans on (threaded
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
@@ -331,6 +332,38 @@ class TestDispatch:
             assert status == 400, body
             assert "error" in payload
 
+    def test_sweep_workers_bounded_by_cores(self):
+        """``workers`` forks that many processes up front, so a client
+        may not ask for more than the host has cores.  The queue here
+        only records payloads: no sweep, and no fork, ever runs."""
+        telemetry = Telemetry()
+        recorded = []
+        context = ServeContext(
+            cache=ArtifactCache(telemetry=telemetry),
+            telemetry=telemetry,
+            jobs=JobQueue(
+                lambda job: recorded.append(job.payload), workers=1, maxsize=8
+            ),
+        )
+        app = ServeApp(context)
+        cores = os.cpu_count() or 1
+        try:
+            for workers in (5000, cores + 1, -1):
+                status, payload = dispatch(
+                    app, "POST", "/sweeps", {"workers": workers}
+                )
+                assert status == 400, workers
+                assert "workers" in payload["error"]
+            assert context.jobs.jobs() == []
+            for workers in (0, cores):
+                status, _ = dispatch(
+                    app, "POST", "/sweeps", {"workers": workers}
+                )
+                assert status == 202, workers
+        finally:
+            context.jobs.close(drain=True)
+        assert [p["workers"] for p in recorded] == [0, cores]
+
     def test_bad_grid_values_400(self, app):
         """Non-finite or repeated grid values fail while the client is
         still on the line, never as an accepted job that dies later."""
@@ -516,6 +549,20 @@ class TestServerHandle:
         handle = ServerHandle(ctx, workers=2)
         handle.close()
         handle.close()
+
+    def test_close_closes_the_store(self, tmp_path):
+        from repro.corpus.store import CorpusStore
+        from repro.errors import CorpusStoreError
+
+        store_path = tmp_path / "corpus.db"
+        CorpusStore(store_path).close()
+        context = build_context(
+            store_path=store_path, job_workers=1, queue_size=2
+        )
+        with ServerHandle(context, workers=2) as handle:
+            assert get_json(handle.url + "/corpus/stats")[0] == 200
+        with pytest.raises(CorpusStoreError):
+            context.store.db
 
     def test_idle_keepalive_clients_do_not_starve_the_pool(
         self, ctx, monkeypatch

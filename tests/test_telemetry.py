@@ -4,12 +4,14 @@ profile report, and the pipeline/cache/manifest instrumentation hooks."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
 
-from repro.errors import StageExecutionError, TelemetryError
+from repro.errors import StageExecutionError, StatsError, TelemetryError
 from repro.pipeline import ArtifactCache, Pipeline, RunManifest, Stage
+from repro.stats.sketch import QuantileSketch
 from repro.telemetry import (
     LOG_LEVELS,
     NULL_LOGGER,
@@ -164,27 +166,31 @@ class TestMetrics:
         assert gauge.max == 2
 
     def test_histogram_buckets_and_percentiles(self):
-        histogram = MetricsRegistry().histogram(
-            "latency", bounds=(0.01, 0.1, 1.0)
-        )
+        histogram = MetricsRegistry().histogram("latency")
         for value in (0.005, 0.05, 0.5, 5.0):
             histogram.observe(value)
         assert histogram.count == 4
         assert histogram.total == pytest.approx(5.555)
-        assert histogram.bucket_counts() == {
-            "<=0.01": 1, "<=0.1": 1, "<=1": 1, "+inf": 1,
-        }
-        assert histogram.percentile(50) == pytest.approx(0.275)
-        p50, p100 = histogram.percentile([50, 100])
-        assert p100 == pytest.approx(5.0)
+        summary = histogram.summary()
+        sketch = QuantileSketch.from_dict(summary["sketch"])
+        assert sketch.count == 4
+        alpha = sketch.alpha
+        assert sketch.quantile(0.0) == pytest.approx(0.005, rel=alpha)
+        assert sketch.quantile(1.0) == pytest.approx(5.0, rel=alpha)
+        assert summary["max"] == 5.0
+        # Rank floor(q * (n - 1)): p50 is the 2nd of 4 values, p99 the 3rd.
+        assert summary["p50"] == pytest.approx(0.05, rel=alpha)
+        assert summary["p99"] == pytest.approx(0.5, rel=alpha)
 
     def test_histogram_rejects_bad_bounds_and_empty_percentile(self):
         registry = MetricsRegistry()
-        with pytest.raises(TelemetryError):
+        # Bucket bounds are no longer a knob: the sketch needs none.
+        with pytest.raises(TypeError):
             registry.histogram("bad", bounds=(1.0, 0.5))
-        empty = registry.histogram("empty")
-        with pytest.raises(TelemetryError):
-            empty.percentile(50)
+        empty = registry.histogram("empty").summary()
+        assert empty["count"] == 0
+        assert empty["mean"] == 0.0
+        assert not {"p50", "p90", "p99"} & set(empty)
 
     def test_kind_collision_rejected(self):
         registry = MetricsRegistry()
@@ -201,7 +207,8 @@ class TestMetrics:
         assert snapshot["cache.hits"] == {"kind": "counter", "value": 3}
         stage = snapshot["pipeline.stage_seconds"]
         assert stage["count"] == 1
-        assert stage["p50"] == pytest.approx(0.2)
+        # The sketch answers within its documented relative error.
+        assert stage["p50"] == pytest.approx(0.2, rel=stage["sketch"]["alpha"])
 
     def test_thread_safety_under_contention(self):
         counter = MetricsRegistry().counter("n")
@@ -221,87 +228,126 @@ class TestMetrics:
 
 
 class TestLatencyBuckets:
-    """Log-spaced bounds and bucket-interpolated percentile estimates —
-    what keeps the serve layer's latency histograms honest at sub-ms
-    scales and under reservoir overflow."""
-
-    def test_log_spaced_bounds_shape(self):
-        from repro.telemetry import log_spaced_bounds
-
-        bounds = log_spaced_bounds(1e-4, 10.0, 6)
-        assert len(bounds) == 6
-        assert bounds[0] == 1e-4
-        assert bounds[-1] == 10.0
-        # Geometric spacing: constant ratio between adjacent bounds.
-        ratios = [b2 / b1 for b1, b2 in zip(bounds, bounds[1:])]
-        assert all(r == pytest.approx(ratios[0]) for r in ratios)
-        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-
-    def test_log_spaced_bounds_validation(self):
-        from repro.telemetry import log_spaced_bounds
-
-        with pytest.raises(TelemetryError):
-            log_spaced_bounds(0.0, 1.0, 5)
-        with pytest.raises(TelemetryError):
-            log_spaced_bounds(1.0, 0.5, 5)
-        with pytest.raises(TelemetryError):
-            log_spaced_bounds(0.1, 1.0, 1)
+    """The sketch's log buckets keep the serve layer's latency
+    histograms honest at sub-ms scales and over arbitrarily long
+    streams."""
 
     def test_default_latency_buckets_resolve_sub_ms(self):
-        from repro.telemetry import DEFAULT_LATENCY_BUCKETS
-
-        histogram = MetricsRegistry().histogram(
-            "fast", bounds=DEFAULT_LATENCY_BUCKETS
-        )
-        # With the old linear default (coarsest bound 0.01s) every one
-        # of these would land in the same first bucket.
-        for value in (20e-6, 90e-6, 400e-6, 2e-3):
+        histogram = MetricsRegistry().histogram("fast")
+        values = (20e-6, 90e-6, 400e-6, 2e-3)
+        for value in values:
             histogram.observe(value)
-        occupied = [
-            label
-            for label, count in histogram.bucket_counts().items()
-            if count
-        ]
-        assert len(occupied) == 4
+        sketch = QuantileSketch.from_dict(histogram.summary()["sketch"])
+        quantiles = [sketch.quantile(q) for q in (0.0, 1 / 3, 2 / 3, 1.0)]
+        assert len(set(quantiles)) == 4
+        for estimate, value in zip(quantiles, values):
+            assert estimate == pytest.approx(value, rel=sketch.alpha)
 
     def test_percentile_estimate_tracks_full_stream(self):
-        histogram = MetricsRegistry().histogram(
-            "hot", bounds=tuple((i + 1) / 100 for i in range(100))
-        )
-        histogram._max_samples = 50  # force reservoir overflow
-        for i in range(1000):
-            histogram.observe(((i * 7919) % 1000 + 0.5) / 1000)
-        assert len(histogram._samples) == 50
-        # Exact percentiles describe only the first 50 observations;
-        # the estimate interpolates the buckets, covering all 1000.
-        assert histogram.percentile_estimate(50) == pytest.approx(
-            0.5, abs=0.02
-        )
-        p50, p99 = histogram.percentile_estimate([50, 99])
-        assert p99 == pytest.approx(0.99, abs=0.02)
-        assert p50 < p99
+        import numpy as np
+
+        values = np.random.default_rng(19).lognormal(-7.0, 1.0, 120_000)
+        histogram = MetricsRegistry().histogram("hot")
+        for value in values:
+            histogram.observe(value)
+        summary = histogram.summary()
+        alpha = summary["sketch"]["alpha"]
+        # Far past any fixed-size sample reservoir: every observation
+        # counts, and the percentiles hold the sketch's error bound.
+        assert summary["count"] == len(values)
+        assert summary["max"] == values.max()
+        for key, q in (("p50", 0.5), ("p99", 0.99)):
+            assert summary[key] == pytest.approx(
+                np.quantile(values, q), rel=alpha
+            )
 
     def test_percentile_estimate_validation(self):
-        histogram = MetricsRegistry().histogram("empty-est")
-        with pytest.raises(TelemetryError):
-            histogram.percentile_estimate(50)
+        histogram = MetricsRegistry().histogram("finite-only")
         histogram.observe(0.1)
-        with pytest.raises(TelemetryError):
-            histogram.percentile_estimate(101)
+        before = histogram.summary()
+        # A non-finite value would poison every later percentile; it is
+        # refused before any of the histogram's state changes.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(StatsError):
+                histogram.observe(value)
+        assert histogram.summary() == before
 
-    def test_summary_switches_to_estimate_on_overflow(self):
-        histogram = MetricsRegistry().histogram(
-            "switch", bounds=(0.1, 0.2, 0.4, 0.8)
+
+class TestSnapshotMerge:
+    """``/metrics`` histogram snapshots carry the sketch state, so
+    snapshots from separate registries, threads or processes combine
+    into exactly the single-stream answer."""
+
+    @staticmethod
+    def _stream(n: int = 20_000) -> list[float]:
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        return [float(v) for v in rng.lognormal(-8.0, 1.5, n)]
+
+    def test_split_snapshots_merge_exactly(self):
+        values = self._stream()
+        halves = (values[::2], values[1::2])
+        name = "serve.request_seconds.study_get"
+        parts = []
+        for half in halves:
+            registry = MetricsRegistry()
+            for value in half:
+                registry.histogram(name).observe(value)
+            parts.append(registry.snapshot()[name])
+        whole_registry = MetricsRegistry()
+        for value in values:
+            whole_registry.histogram(name).observe(value)
+        whole = whole_registry.snapshot()[name]
+
+        merged = QuantileSketch.from_dict(parts[0]["sketch"]).merge(
+            QuantileSketch.from_dict(parts[1]["sketch"])
         )
-        histogram._max_samples = 4
-        for value in (0.05, 0.15, 0.3, 0.6):
-            histogram.observe(value)
-        exact = histogram.summary()
-        assert exact["p50"] == histogram.percentile(50)
-        histogram.observe(0.7)  # overflows the 4-sample reservoir
-        estimated = histogram.summary()
-        assert estimated["count"] == 5
-        assert estimated["p50"] == histogram.percentile_estimate(50)
+        assert merged == QuantileSketch.from_dict(whole["sketch"])
+        assert merged.to_dict() == whole["sketch"]
+        assert parts[0]["count"] + parts[1]["count"] == whole["count"]
+        assert merged.count == whole["count"]
+        assert max(part["max"] for part in parts) == whole["max"]
+        for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert merged.quantile(q) == whole[key]
+        assert parts[0]["total"] + parts[1]["total"] == pytest.approx(
+            whole["total"]
+        )
+
+    def test_threaded_observations_equal_serial(self):
+        """More threads than cores, switching often: a lost update
+        would leave the threaded sketch short of the serial one."""
+        values = self._stream()
+        threaded = MetricsRegistry().histogram("threaded")
+        barrier = threading.Barrier(8)
+
+        def work(chunk: list[float]) -> None:
+            barrier.wait(10.0)
+            for value in chunk:
+                threaded.observe(value)
+
+        threads = [
+            threading.Thread(target=work, args=(values[i::8],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        serial = MetricsRegistry().histogram("serial")
+        for value in values:
+            serial.observe(value)
+        threaded_summary, serial_summary = (
+            threaded.summary(), serial.summary()
+        )
+        for key in ("count", "max", "p50", "p90", "p99", "sketch"):
+            assert threaded_summary[key] == serial_summary[key]
 
 
 class TestTelemetryFacade:
