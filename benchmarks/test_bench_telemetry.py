@@ -5,7 +5,7 @@ disabled default has to cost (approximately) nothing.  Two guards:
 
 * **no-op overhead** — the exact null-telemetry call sequence a warm
   `Pipeline.run` performs (one run span, four cached-stage spans, the
-  counter/gauge/histogram touches) is timed directly and must account
+  counter/histogram touches) is timed directly and must account
   for < 5% of a measured warm-cache run — i.e. the PR-1 warm path is
   preserved within noise;
 * **enabled capture** — recording telemetry on a warm run must still
@@ -55,7 +55,6 @@ def _null_instrumentation_once() -> None:
     metrics.histogram("pipeline.stage_seconds")
     metrics.counter("pipeline.stages_executed")
     cached = metrics.counter("pipeline.stages_cached")
-    metrics.gauge("pipeline.parallelism")
     log = tel.log  # the structured-logger lookup the runner performs
     with tel.tracer.span("pipeline.run", pipeline="icsc-study"):
         for name in STAGES:

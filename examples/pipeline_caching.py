@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Pipeline caching, parallelism, and crash-safe resume, demonstrated.
+"""Pipeline caching and crash-safe resume, demonstrated.
 
 Runs the ICSC study through :mod:`repro.pipeline` three ways:
 

@@ -6,9 +6,9 @@ Three demonstrations, each usable on its own:
 1. the :class:`~repro.telemetry.Tracer` standalone — nested spans via
    the context manager and the ``@traced`` decorator, then the recorded
    tree printed with parent links and wall/CPU split;
-2. the :class:`~repro.telemetry.MetricsRegistry` standalone — counters,
-   a gauge high-watermark, and a histogram whose percentiles come from
-   a mergeable quantile sketch;
+2. the :class:`~repro.telemetry.MetricsRegistry` standalone — a counter
+   and a histogram whose percentiles come from a mergeable quantile
+   sketch;
 3. the full study pipeline run under a :class:`~repro.telemetry.Telemetry`
    context: the plain-text profile report (top stages by self time,
    cache hit ratios) plus a Chrome trace written to
@@ -62,22 +62,18 @@ def demo_tracer() -> None:
 
 
 def demo_metrics() -> None:
-    """Counters, a gauge watermark, and histogram percentiles."""
-    print("== MetricsRegistry: counters, gauges, histograms ==")
+    """A counter and histogram percentiles."""
+    print("== MetricsRegistry: counters, histograms ==")
     registry = MetricsRegistry()
     accepted = registry.counter("papers.accepted")
-    inflight = registry.gauge("screeners.active")
     latency = registry.histogram("screening.seconds")
 
     for i in range(40):
-        inflight.add(1)
         accepted.inc()
         latency.observe(0.004 * (i % 7 + 1))
-        inflight.add(-1 if i % 3 else 0)  # simulate overlapping screeners
 
     summary = latency.summary()
     print(f"  papers accepted:        {accepted.value}")
-    print(f"  peak active screeners:  {inflight.max:.0f}")
     print(f"  screening latency p50:  {summary['p50'] * 1e3:.1f} ms   "
           f"p99: {summary['p99'] * 1e3:.1f} ms")
     print(f"  sketch buckets in use:  {len(summary['sketch']['pos'])}\n")

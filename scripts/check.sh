@@ -14,7 +14,8 @@
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
 #                                    # port over a temp corpus store, hit
 #                                    # /health, /corpus/stats (twice) and
-#                                    # /metrics, shut down clean
+#                                    # /metrics, shut down clean; then run
+#                                    # `repro figures` twice (cold, warm)
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
 #
@@ -99,6 +100,30 @@ print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
       f"{expected['records']} records twice, graceful shutdown clean")
 sys.exit(0)
 SMOKE
+
+    # Figures smoke: render the artifact set through the CLI twice into
+    # one temp directory with a disk cache (cold, then warm). Every path
+    # printed must exist, and both runs must name the same artifacts.
+    fig_tmp="$(mktemp -d)"
+    trap 'rm -rf "${fig_tmp}"' EXIT
+    for run in cold warm; do
+        python -m repro figures --output "${fig_tmp}" \
+            --cache-dir "${fig_tmp}/cache" > "${fig_tmp}/${run}.txt"
+        while IFS= read -r line; do
+            if [ ! -e "${line#*: }" ]; then
+                echo "figures smoke: ${run} run printed missing ${line}" >&2
+                exit 1
+            fi
+        done < "${fig_tmp}/${run}.txt"
+        cut -d: -f1 "${fig_tmp}/${run}.txt" > "${fig_tmp}/${run}.names"
+    done
+    if [ ! -s "${fig_tmp}/cold.names" ] \
+        || ! cmp -s "${fig_tmp}/cold.names" "${fig_tmp}/warm.names"; then
+        echo "figures smoke: cold and warm runs name different artifacts" >&2
+        exit 1
+    fi
+    echo "figures smoke: $(wc -l < "${fig_tmp}/cold.names") artifacts" \
+        "rendered cold and warm, every printed path exists"
     exit 0
 fi
 

@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pipeline_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
-            "--parallel", action="store_true",
-            help="run independent pipeline stages concurrently",
-        )
-        command.add_argument(
             "--cache-dir", type=Path, default=None,
             help="persist stage artifacts to this directory "
                  "(default: in-memory cache, or $REPRO_CACHE_DIR)",
@@ -470,8 +466,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         registry = RunRegistry(args.runs_dir, logger=telemetry.log)
     cache = _resolve_cache(args)
     results, run = run_icsc_pipeline(
-        seed=args.seed, cache=cache, parallel=args.parallel,
-        telemetry=telemetry, registry=registry,
+        seed=args.seed, cache=cache, telemetry=telemetry, registry=registry,
     )
     scheme = workflow_directions()
     names = dict(zip(scheme.keys, scheme.names))
@@ -494,8 +489,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             study_report(results, scheme), encoding="utf-8"
         )
         artifacts = render_icsc_artifacts(
-            args.output, cache=cache, parallel=args.parallel,
-            telemetry=telemetry,
+            args.output, cache=cache, telemetry=telemetry
         )
         print(f"wrote report.md and {len(artifacts)} artifacts to {args.output}")
     print(
@@ -533,9 +527,7 @@ def _cmd_report(_: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.pipeline.study import render_icsc_artifacts
 
-    artifacts = render_icsc_artifacts(
-        args.output, cache=_resolve_cache(args), parallel=args.parallel
-    )
+    artifacts = render_icsc_artifacts(args.output, cache=_resolve_cache(args))
     for name in sorted(artifacts):
         print(f"{name}: {artifacts[name]}")
     return 0

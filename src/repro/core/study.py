@@ -355,7 +355,6 @@ def run_icsc_study(
     *,
     seed: int = 2023,
     cache=None,
-    parallel: bool = False,
     telemetry=None,
 ) -> StudyResults:
     """Replay the paper's full pipeline on the encoded ICSC dataset.
@@ -364,13 +363,12 @@ def run_icsc_study(
     identical parameters are served from a process-wide artifact cache
     without recomputing any stage.  Pass an explicit
     :class:`~repro.pipeline.ArtifactCache` (e.g. disk-backed) via *cache*,
-    ``parallel=True`` to run independent stages concurrently, or a
-    :class:`repro.telemetry.Telemetry` as *telemetry* to record spans and
+    or a :class:`repro.telemetry.Telemetry` as *telemetry* to record spans and
     pipeline metrics for profiling.
     """
     from repro.pipeline.study import run_icsc_pipeline
 
     results, _ = run_icsc_pipeline(
-        seed=seed, cache=cache, parallel=parallel, telemetry=telemetry
+        seed=seed, cache=cache, telemetry=telemetry
     )
     return results

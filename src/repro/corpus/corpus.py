@@ -8,7 +8,7 @@ same API is served by the persistent :class:`repro.corpus.store.CorpusStore`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import replace
 
 from repro.corpus.bibtex import RejectedEntry, publications_from_bibtex, to_bibtex
@@ -29,7 +29,7 @@ COLLISION_POLICIES = ("error", "suffix", "skip")
 
 def resolve_collision(
     key: str,
-    taken: "Iterable[str] | Corpus",
+    taken: Container[str],
     policy: str,
 ) -> str | None:
     """Resolve a citation-key collision under a policy.

@@ -51,7 +51,7 @@ from repro.corpus.bibtex import (
     iter_publications_from_bibtex,
     to_bibtex,
 )
-from repro.corpus.corpus import COLLISION_POLICIES
+from repro.corpus.corpus import resolve_collision
 from repro.corpus.dedup import cluster_titles, merge_cluster
 from repro.corpus.publication import Publication, normalize_title
 from repro.corpus.query import (
@@ -64,7 +64,7 @@ from repro.corpus.query import (
     TermNode,
 )
 from repro.corpus.venues import VenueNormalizer
-from repro.errors import CorpusError, CorpusStoreError, DuplicateEntityError
+from repro.errors import CorpusError, CorpusStoreError
 from repro.stats.frequency import FrequencyTable
 from repro.telemetry import ensure
 
@@ -294,7 +294,7 @@ class CorpusStore:
         :class:`~repro.errors.DuplicateEntityError`, ``"suffix"`` stores
         under ``key-2``/``key-3``..., ``"skip"`` returns ``None``.
         """
-        key = self._resolve_key(publication.key, on_collision)
+        key = resolve_collision(publication.key, self, on_collision)
         if key is None:
             return None
         if key != publication.key:
@@ -339,7 +339,9 @@ class CorpusStore:
         with tel.tracer.span("corpus.ingest"):
             try:
                 for publication in publications:
-                    key = self._resolve_key(publication.key, on_collision)
+                    key = resolve_collision(
+                        publication.key, self, on_collision
+                    )
                     if key is None:
                         skipped += 1
                         continue
@@ -394,24 +396,6 @@ class CorpusStore:
             len(rejected)
         )
         return replace(report, rejected=tuple(rejected))
-
-    def _resolve_key(self, key: str, policy: str) -> str | None:
-        """Collision-resolved storage key (None = skip this record)."""
-        if policy not in COLLISION_POLICIES:
-            raise CorpusError(
-                f"unknown collision policy {policy!r}; pick one of "
-                f"{', '.join(COLLISION_POLICIES)}"
-            )
-        if key not in self:
-            return key
-        if policy == "error":
-            raise DuplicateEntityError(f"duplicate publication key {key!r}")
-        if policy == "skip":
-            return None
-        n = 2
-        while f"{key}-{n}" in self:
-            n += 1
-        return f"{key}-{n}"
 
     def _insert(self, publication: Publication) -> int:
         """Insert one record row plus its inverted-index postings."""

@@ -1,10 +1,10 @@
-"""Cached, parallel, resumable pipeline execution for mapping studies.
+"""Cached, resumable pipeline execution for mapping studies.
 
 The substrate the rest of the library runs on:
 
 * :mod:`repro.pipeline.runner` — :class:`Stage`/:class:`Pipeline`, a DAG
-  runner with content-addressed skipping, thread-pool parallelism, and a
-  deterministic serial fallback;
+  runner with content-addressed skipping that executes stages one at a
+  time in a deterministic topological order;
 * :mod:`repro.pipeline.cache` — :class:`ArtifactCache`, a two-layer
   (memory + optional disk) content-addressed artifact store, and
   :func:`stable_digest`, the canonical hashing primitive;

@@ -1,4 +1,4 @@
-"""The stage-DAG pipeline runner: caching, parallelism, resume.
+"""The stage-DAG pipeline runner: caching and resume.
 
 A :class:`Pipeline` is a directed acyclic graph of named :class:`Stage`\\ s.
 Each stage is a pure function of its dependencies' outputs and its own
@@ -9,9 +9,8 @@ parameters, which buys three properties for free:
   and — transitively, through its dependencies' keys — everything upstream.
   A key hit in the :class:`~repro.pipeline.cache.ArtifactCache` skips the
   stage with no loss of fidelity;
-* **parallel execution** — independent stages run concurrently on a
-  thread pool (``parallel=True``), with a deterministic serial fallback
-  that executes stages in stable topological order;
+* **deterministic execution** — stages that must run execute one at a
+  time in stable topological order;
 * **crash-safe resume** — a :class:`~repro.pipeline.manifest.RunManifest`
   records each completion as it happens, so a re-run after an interruption
   restarts from the last finished stage.
@@ -19,7 +18,7 @@ parameters, which buys three properties for free:
 Passing ``telemetry=`` (a :class:`repro.telemetry.Telemetry`) records a
 span per stage — wall time, per-thread CPU time, executed-vs-cached
 outcome — under one run-level span, plus the pipeline metrics (stage
-duration histogram, cache counters, achieved parallelism) and
+duration histogram and cache counters) and
 span-correlated structured log events (``pipeline.plan``,
 ``stage.start``/``finish``/``error``, ``cache.rot``,
 ``pipeline.finish``) on ``telemetry.log``.  The default is a shared
@@ -38,8 +37,6 @@ Example
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -123,7 +120,7 @@ class PipelineResult:
 
 
 class Pipeline:
-    """A DAG of :class:`Stage`\\ s executable with caching and parallelism.
+    """A DAG of :class:`Stage`\\ s executable with caching and resume.
 
     Parameters
     ----------
@@ -244,8 +241,6 @@ class Pipeline:
         *,
         cache: ArtifactCache | None = None,
         manifest: RunManifest | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> PipelineResult:
         """Execute the pipeline and return a :class:`PipelineResult`.
@@ -263,11 +258,6 @@ class Pipeline:
             Optional run ledger for crash-safe resume; bound to this
             pipeline's :meth:`run_key` (a manifest of a different
             configuration is discarded).
-        parallel:
-            Execute independent stages concurrently on a thread pool.
-            ``False`` is the deterministic serial fallback.
-        max_workers:
-            Thread-pool width (default: CPU count, capped at 8).
         telemetry:
             Optional :class:`~repro.telemetry.Telemetry`: records a span
             per stage (plus the run and cache-hit events) and the
@@ -299,11 +289,9 @@ class Pipeline:
                 pipeline=self.name,
                 version=self.version,
                 targets=tuple(targets),
-                parallel=parallel,
             ) as run_span:
                 return self._run_traced(
-                    targets, cache, manifest, parallel, max_workers,
-                    tel, run_span,
+                    targets, cache, manifest, tel, run_span
                 )
         finally:
             for collaborator in rebind:
@@ -314,8 +302,6 @@ class Pipeline:
         targets: Sequence[str],
         cache: ArtifactCache,
         manifest: RunManifest | None,
-        parallel: bool,
-        max_workers: int | None,
         tel: Telemetry,
         run_span,
     ) -> PipelineResult:
@@ -336,7 +322,6 @@ class Pipeline:
         stage_seconds = metrics.histogram("pipeline.stage_seconds")
         executed_count = metrics.counter("pipeline.stages_executed")
         cached_count = metrics.counter("pipeline.stages_cached")
-        inflight = metrics.gauge("pipeline.parallelism")
 
         # Planning pass: decide, in topological order, which stages must
         # actually run.  A cached stage is skipped lazily — its value is
@@ -369,7 +354,6 @@ class Pipeline:
                 targets=list(targets),
                 must_run=must_run,
                 cached=list(cached),
-                parallel=parallel,
             )
 
         def materialize(name: str) -> None:
@@ -401,35 +385,31 @@ class Pipeline:
         def execute(name: str) -> Any:
             stage = self.stages[name]
             inputs = {dep: results[dep] for dep in stage.deps}
-            inflight.add(1)
-            try:
-                with tel.tracer.span(
-                    f"stage:{name}", parent=run_span,
-                    stage=name, outcome="executed",
-                ) as span:
-                    if tel.enabled:
-                        log.debug("stage.start", stage=name)
-                    try:
-                        value = stage.fn(inputs, **stage.params)
-                    except Exception as exc:
-                        if tel.enabled:
-                            log.error(
-                                "stage.error", stage=name,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        raise StageExecutionError(
-                            f"stage {name!r} failed: {exc}"
-                        ) from exc
-                stage_seconds.observe(span.duration or 0.0)
-                executed_count.inc()
+            with tel.tracer.span(
+                f"stage:{name}", parent=run_span,
+                stage=name, outcome="executed",
+            ) as span:
                 if tel.enabled:
-                    log.debug(
-                        "stage.finish", stage=name,
-                        wall_s=span.duration, cpu_s=span.cpu_time,
-                    )
-                return value
-            finally:
-                inflight.add(-1)
+                    log.debug("stage.start", stage=name)
+                try:
+                    value = stage.fn(inputs, **stage.params)
+                except Exception as exc:
+                    if tel.enabled:
+                        log.error(
+                            "stage.error", stage=name,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
+                    raise StageExecutionError(
+                        f"stage {name!r} failed: {exc}"
+                    ) from exc
+            stage_seconds.observe(span.duration or 0.0)
+            executed_count.inc()
+            if tel.enabled:
+                log.debug(
+                    "stage.finish", stage=name,
+                    wall_s=span.duration, cpu_s=span.cpu_time,
+                )
+            return value
 
         def record(name: str, value: Any) -> None:
             cache.store(keys[name], value)
@@ -445,11 +425,8 @@ class Pipeline:
                 if dep not in running:
                     materialize(dep)
 
-        if not parallel or len(must_run) <= 1:
-            for name in must_run:
-                record(name, execute(name))
-        else:
-            self._run_parallel(must_run, execute, record, max_workers)
+        for name in must_run:
+            record(name, execute(name))
 
         for name in targets:
             materialize(name)
@@ -466,47 +443,3 @@ class Pipeline:
             cached=tuple(cached),
             keys={name: keys[name] for name in order},
         )
-
-    def _run_parallel(
-        self,
-        must_run: list[str],
-        execute: Callable[[str], Any],
-        record: Callable[[str, Any], None],
-        max_workers: int | None,
-    ) -> None:
-        """Schedule *must_run* stages on a thread pool as deps complete."""
-        running = set(must_run)
-        waiting_on = {
-            name: {dep for dep in self.stages[name].deps if dep in running}
-            for name in must_run
-        }
-        dependents: dict[str, list[str]] = {name: [] for name in must_run}
-        for name in must_run:
-            for dep in waiting_on[name]:
-                dependents[dep].append(name)
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 1)
-        ready = [name for name in must_run if not waiting_on[name]]
-        failure: StageExecutionError | None = None
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            futures = {pool.submit(execute, name): name for name in ready}
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    name = futures.pop(future)
-                    try:
-                        value = future.result()
-                    except StageExecutionError as exc:
-                        failure = failure or exc
-                        continue
-                    if failure is not None:
-                        continue  # drain in-flight work, submit nothing new
-                    record(name, value)
-                    for dependent in dependents[name]:
-                        waiting_on[dependent].discard(name)
-                        if not waiting_on[dependent]:
-                            futures[pool.submit(execute, dependent)] = dependent
-        if failure is not None:
-            raise failure

@@ -1,10 +1,9 @@
-"""The ICSC mapping study as a cached, parallel, resumable pipeline.
+"""The ICSC mapping study as a cached, resumable pipeline.
 
 Wires the paper's stages — ``collect → {classify, survey} → analyze``,
 plus an optional ``render`` fan-out — onto the
-:class:`~repro.pipeline.runner.Pipeline` runner.  ``classify`` and
-``survey`` both depend only on ``collect``, so they run concurrently
-under ``parallel=True``; every stage output is content-addressed in an
+:class:`~repro.pipeline.runner.Pipeline` runner.  Every stage output is
+content-addressed in an
 :class:`~repro.pipeline.cache.ArtifactCache`, so repeated runs with
 identical parameters (the common case: benchmarks, figure regeneration,
 CLI invocations) recompute nothing.
@@ -228,8 +227,6 @@ def run_icsc_pipeline(
     check_with_classifier: bool = True,
     cache: ArtifactCache | None = None,
     manifest: RunManifest | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     telemetry=None,
     registry=None,
 ) -> tuple[Any, PipelineResult]:
@@ -254,8 +251,6 @@ def run_icsc_pipeline(
         ["analyze"],
         cache=cache if cache is not None else process_cache(),
         manifest=manifest,
-        parallel=parallel,
-        max_workers=max_workers,
         telemetry=telemetry,
     )
     results = run["analyze"]
@@ -267,7 +262,7 @@ def run_icsc_pipeline(
                 results,
                 run,
                 telemetry=telemetry,
-                meta={"seed": seed, "parallel": parallel},
+                meta={"seed": seed},
             )
         )
     return results, run
@@ -279,7 +274,6 @@ def render_icsc_artifacts(
     spoke1: bool = True,
     cache: ArtifactCache | None = None,
     manifest: RunManifest | None = None,
-    parallel: bool = False,
     telemetry=None,
 ) -> dict[str, Path]:
     """Render the full artifact set through the cached pipeline.
@@ -294,7 +288,6 @@ def render_icsc_artifacts(
         ["render"],
         cache=cache if cache is not None else process_cache(),
         manifest=manifest,
-        parallel=parallel,
         telemetry=telemetry,
     )
     return {name: Path(path) for name, path in run["render"].items()}

@@ -101,7 +101,6 @@ def render_all_artifacts(
     *,
     spoke1: dict | None = None,
     institutions=None,
-    parallel: bool = False,
 ) -> dict[str, Path]:
     """Write every figure/table artifact under *output_dir*.
 
@@ -109,127 +108,79 @@ def render_all_artifacts(
     *institutions* is given, a ``provenance.json`` sidecar records each
     artifact's generating step and the dataset's SHA-256 fingerprint.
 
-    Rendering runs as a :class:`~repro.pipeline.runner.Pipeline`: one
-    ``derive`` stage computes the shared distributions, then every
-    figure/table renders as an independent fan-out stage — concurrently
-    when *parallel* is true, in deterministic order otherwise.
+    The shared distributions are derived once; every figure/table then
+    renders from them in a fixed order.
     """
-    from repro.pipeline.runner import Pipeline, Stage
-
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = dict(zip(scheme.keys, scheme.names))
 
-    def derive(inputs):
-        supply = supply_distribution(tools, scheme)
-        coverage = coverage_histogram(tools, scheme)
-        selection = SelectionMatrix.from_catalogs(tools, applications, scheme)
-        demand = demand_distribution(selection, tools, scheme)
-        return supply, coverage, selection, demand
-
-    def fig1(inputs):
-        path = out / "fig1_spoke1.svg"
-        render_spoke1_figure(spoke1).save(path)
-        return [("fig1", path)]
-
-    def fig2(inputs):
-        supply, _, _, _ = inputs["derive"]
-        path = out / "fig2_tool_distribution.svg"
-        pie_chart(
-            supply,
-            title="Tool distribution over the five research directions",
-            label_names=names,
-        ).save(path)
-        frequency_to_csv(supply, path.with_suffix(".csv"))
-        return [("fig2", path), ("fig2_csv", path.with_suffix(".csv"))]
-
-    def fig3(inputs):
-        _, coverage, _, _ = inputs["derive"]
-        path = out / "fig3_coverage_histogram.svg"
-        bar_chart(
-            coverage,
-            title="Research directions covered per institution",
-            x_label="# covered research directions",
-            y_label="# research institutions",
-        ).save(path)
-        frequency_to_csv(coverage, path.with_suffix(".csv"))
-        return [("fig3", path), ("fig3_csv", path.with_suffix(".csv"))]
-
-    def fig4(inputs):
-        _, _, _, demand = inputs["derive"]
-        path = out / "fig4_selection_votes.svg"
-        pie_chart(
-            demand,
-            title="Tools selected for integration, by research direction",
-            label_names=names,
-        ).save(path)
-        frequency_to_csv(demand, path.with_suffix(".csv"))
-        return [("fig4", path), ("fig4_csv", path.with_suffix(".csv"))]
-
-    def comparison(inputs):
-        supply, _, _, demand = inputs["derive"]
-        path = out / "fig2_fig4_comparison.svg"
-        grouped_bar_chart(
-            {"supply (tools)": supply, "demand (votes)": demand},
-            title="Supply vs demand over the research directions",
-        ).save(path)
-        return [("comparison", path)]
-
-    def table1(inputs):
-        table = build_table1(tools, scheme)
-        (out / "table1.md").write_text(
-            table.to_markdown() + "\n", encoding="utf-8"
-        )
-        (out / "table1.tex").write_text(
-            table.to_latex() + "\n", encoding="utf-8"
-        )
-        return [("table1_md", out / "table1.md"),
-                ("table1_tex", out / "table1.tex")]
-
-    def table2(inputs):
-        _, _, selection, _ = inputs["derive"]
-        table = build_table2(tools, applications, scheme, selection=selection)
-        (out / "table2.md").write_text(
-            table.to_markdown() + "\n", encoding="utf-8"
-        )
-        (out / "table2.tex").write_text(
-            table.to_latex() + "\n", encoding="utf-8"
-        )
-        return [("table2_md", out / "table2.md"),
-                ("table2_tex", out / "table2.tex")]
-
-    def grid(inputs):
-        _, _, selection, _ = inputs["derive"]
-        path = out / "table2_grid.svg"
-        selection_grid(
-            selection,
-            title="Table 2 as a checkmark grid",
-            row_names={t.key: t.name for t in tools},
-            col_names={a.key: a.section for a in applications.ordered()},
-            row_groups={t.key: t.primary_direction for t in tools},
-        ).save(path)
-        selection_to_csv(selection, out / "table2.csv")
-        return [("table2_grid", path), ("table2_csv", out / "table2.csv")]
-
-    renderers = {
-        "fig2": fig2, "fig3": fig3, "fig4": fig4,
-        "comparison": comparison, "table1": table1,
-        "table2": table2, "grid": grid,
-    }
-    stages = [Stage("derive", derive)]
-    if spoke1 is not None:
-        stages.append(Stage("fig1", fig1))
-    stages += [
-        Stage(name, fn, deps=("derive",)) for name, fn in renderers.items()
-    ]
-    targets = (["fig1"] if spoke1 is not None else []) + list(renderers)
-    run = Pipeline(stages, name="render-artifacts").run(
-        targets, parallel=parallel
-    )
+    supply = supply_distribution(tools, scheme)
+    coverage = coverage_histogram(tools, scheme)
+    selection = SelectionMatrix.from_catalogs(tools, applications, scheme)
+    demand = demand_distribution(selection, tools, scheme)
 
     artifacts: dict[str, Path] = {}
-    for target in targets:
-        artifacts.update(run[target])
+    if spoke1 is not None:
+        path = out / "fig1_spoke1.svg"
+        render_spoke1_figure(spoke1).save(path)
+        artifacts["fig1"] = path
+
+    path = out / "fig2_tool_distribution.svg"
+    pie_chart(
+        supply,
+        title="Tool distribution over the five research directions",
+        label_names=names,
+    ).save(path)
+    frequency_to_csv(supply, path.with_suffix(".csv"))
+    artifacts.update(fig2=path, fig2_csv=path.with_suffix(".csv"))
+
+    path = out / "fig3_coverage_histogram.svg"
+    bar_chart(
+        coverage,
+        title="Research directions covered per institution",
+        x_label="# covered research directions",
+        y_label="# research institutions",
+    ).save(path)
+    frequency_to_csv(coverage, path.with_suffix(".csv"))
+    artifacts.update(fig3=path, fig3_csv=path.with_suffix(".csv"))
+
+    path = out / "fig4_selection_votes.svg"
+    pie_chart(
+        demand,
+        title="Tools selected for integration, by research direction",
+        label_names=names,
+    ).save(path)
+    frequency_to_csv(demand, path.with_suffix(".csv"))
+    artifacts.update(fig4=path, fig4_csv=path.with_suffix(".csv"))
+
+    path = out / "fig2_fig4_comparison.svg"
+    grouped_bar_chart(
+        {"supply (tools)": supply, "demand (votes)": demand},
+        title="Supply vs demand over the research directions",
+    ).save(path)
+    artifacts["comparison"] = path
+
+    table = build_table1(tools, scheme)
+    (out / "table1.md").write_text(table.to_markdown() + "\n", encoding="utf-8")
+    (out / "table1.tex").write_text(table.to_latex() + "\n", encoding="utf-8")
+    artifacts.update(table1_md=out / "table1.md", table1_tex=out / "table1.tex")
+
+    table = build_table2(tools, applications, scheme, selection=selection)
+    (out / "table2.md").write_text(table.to_markdown() + "\n", encoding="utf-8")
+    (out / "table2.tex").write_text(table.to_latex() + "\n", encoding="utf-8")
+    artifacts.update(table2_md=out / "table2.md", table2_tex=out / "table2.tex")
+
+    path = out / "table2_grid.svg"
+    selection_grid(
+        selection,
+        title="Table 2 as a checkmark grid",
+        row_names={t.key: t.name for t in tools},
+        col_names={a.key: a.section for a in applications.ordered()},
+        row_groups={t.key: t.primary_direction for t in tools},
+    ).save(path)
+    selection_to_csv(selection, out / "table2.csv")
+    artifacts.update(table2_grid=path, table2_csv=out / "table2.csv")
 
     if institutions is not None:
         from repro.reporting.provenance import ProvenanceLog, dataset_fingerprint

@@ -5,10 +5,10 @@ The observability layer the scaling work measures itself with:
 * :mod:`repro.telemetry.tracer` — :class:`Tracer`, a hierarchical span
   tree (wall time, per-thread CPU time, tags, parent links) with
   context-manager and decorator APIs and a thread-safe buffer, so
-  parallel pipeline stages trace correctly;
+  concurrent ``repro serve`` worker threads trace correctly;
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with
-  counters, gauges, and histograms backed by mergeable quantile
-  sketches, pre-registered with the pipeline metrics;
+  counters and histograms backed by mergeable quantile sketches,
+  pre-registered with the pipeline metrics;
 * :mod:`repro.telemetry.export` — newline-delimited JSON events and
   Chrome ``chrome://tracing`` trace files;
 * :mod:`repro.telemetry.profile` — the plain-text profile report (top
@@ -58,7 +58,6 @@ from repro.telemetry.log import (
 )
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     PIPELINE_METRICS,
@@ -74,7 +73,6 @@ from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "LOG_LEVELS",
     "LogEvent",

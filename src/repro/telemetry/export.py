@@ -8,8 +8,8 @@ Two on-disk formats, both derived from the same span tree:
 * **Chrome trace** (:func:`write_chrome_trace`) — the Trace Event Format
   consumed by ``chrome://tracing`` and https://ui.perfetto.dev: complete
   (``"ph": "X"``) events with microsecond timestamps, one row per
-  thread, so the parallel stages of a pipeline run render as overlapping
-  bars.
+  thread, so requests handled by concurrent ``repro serve`` worker
+  threads render as overlapping bars.
 
 :func:`load_chrome_trace` reads a saved trace back (for ``repro trace``),
 raising :class:`~repro.errors.TelemetryError` on unreadable input.

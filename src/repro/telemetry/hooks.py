@@ -40,26 +40,6 @@ class _NullCounter:
         return {"kind": self.kind, "value": 0}
 
 
-class _NullGauge:
-    """Gauge twin that discards levels."""
-
-    __slots__ = ()
-
-    kind = "gauge"
-    name = ""
-    value = 0.0
-    max = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> float:
-        return 0.0
-
-    def summary(self) -> dict[str, Any]:
-        return {"kind": self.kind, "value": 0.0, "max": 0.0}
-
-
 class _NullHistogram:
     """Histogram twin that discards observations."""
 
@@ -79,7 +59,6 @@ class _NullHistogram:
 
 
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -91,10 +70,6 @@ class NullMetricsRegistry:
     def counter(self, name: str) -> _NullCounter:
         """The shared no-op counter."""
         return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        """The shared no-op gauge."""
-        return _NULL_GAUGE
 
     def histogram(self, name: str) -> _NullHistogram:
         """The shared no-op histogram."""

@@ -4,13 +4,14 @@ The third leg of the telemetry stool (spans measure, metrics count, logs
 *narrate*): a :class:`StructuredLogger` records leveled events as one
 JSON object each — event name, UTC timestamp, level, free-form fields,
 and the ``span_id`` of the innermost span open on the calling thread, so
-every log line of a parallel pipeline run is attributable to the stage
+every log line is attributable to the pipeline stage or served request
 that emitted it.
 
 Events are buffered in a thread-safe list and can additionally be routed
 to a *stream* (one complete ``write()`` per line, under the logger's
 lock, so concurrent emitters can never interleave partial lines) —
-that is what makes the parallel-``Pipeline.run`` NDJSON well-formed.
+that is what keeps the NDJSON of ``repro serve``'s worker threads
+well-formed.
 
 The :class:`NullLogger` twin follows the telemetry convention: the same
 surface as cheap no-ops, shared through :data:`NULL_LOGGER`, so
@@ -123,7 +124,7 @@ class StructuredLogger:
     stream:
         Optional text stream; each accepted event is additionally
         written to it as one NDJSON line in a single ``write()`` call
-        under the logger's lock, so parallel emitters cannot interleave.
+        under the logger's lock, so concurrent emitters cannot interleave.
     """
 
     def __init__(

@@ -1,18 +1,17 @@
-"""Counters, gauges, and histograms behind a :class:`MetricsRegistry`.
+"""Counters and histograms behind a :class:`MetricsRegistry`.
 
-Three instrument kinds cover the pipeline's observability needs:
+Two instrument kinds cover the pipeline's and the server's
+observability needs:
 
 * :class:`Counter` — monotonically increasing totals (cache hits, bytes
   written);
-* :class:`Gauge` — a settable level with a high-watermark, used with
-  :meth:`Gauge.add` as an in-flight counter whose ``max`` is the
-  parallelism actually achieved;
 * :class:`Histogram` — distribution of observations (stage and request
   durations) held in a :class:`~repro.stats.sketch.QuantileSketch`, so
   its p50/p90/p99 cover every observation within 1% relative error and
-  snapshots from separate threads or processes merge exactly.
+  snapshots from separate workers or processes merge exactly.
 
-All instruments are thread-safe (one lock per instrument), and every
+All instruments are thread-safe (one lock per instrument), because the
+``repro serve`` worker threads record into one shared registry.  Every
 instrument has a zero-overhead null twin so the disabled-telemetry path
 costs nothing (see :mod:`repro.telemetry.hooks`).
 
@@ -34,7 +33,6 @@ from repro.stats.sketch import QuantileSketch
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PIPELINE_METRICS",
@@ -46,7 +44,6 @@ PIPELINE_METRICS = {
     "pipeline.stage_seconds": "histogram",
     "pipeline.stages_executed": "counter",
     "pipeline.stages_cached": "counter",
-    "pipeline.parallelism": "gauge",
     "cache.hits": "counter",
     "cache.misses": "counter",
     "cache.stores": "counter",
@@ -86,52 +83,6 @@ class Counter:
     def summary(self) -> dict[str, Any]:
         """Snapshot: ``{"kind": "counter", "value": ...}``."""
         return {"kind": self.kind, "value": self._value}
-
-
-class Gauge:
-    """A thread-safe settable level tracking its high-watermark.
-
-    ``set`` records an absolute level; ``add`` moves it relatively —
-    ``add(+1)``/``add(-1)`` around a work item turns the gauge into an
-    in-flight counter whose :attr:`max` is the peak concurrency reached.
-    """
-
-    __slots__ = ("name", "_lock", "_value", "_max")
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self._max = 0.0
-
-    def set(self, value: float) -> None:
-        """Set the level to *value*."""
-        with self._lock:
-            self._value = value
-            self._max = max(self._max, value)
-
-    def add(self, delta: float) -> float:
-        """Move the level by *delta*; returns the new level."""
-        with self._lock:
-            self._value += delta
-            self._max = max(self._max, self._value)
-            return self._value
-
-    @property
-    def value(self) -> float:
-        """The current level."""
-        return self._value
-
-    @property
-    def max(self) -> float:
-        """The highest level ever reached."""
-        return self._max
-
-    def summary(self) -> dict[str, Any]:
-        """Snapshot: ``{"kind": "gauge", "value": ..., "max": ...}``."""
-        return {"kind": self.kind, "value": self._value, "max": self._max}
 
 
 class Histogram:
@@ -209,7 +160,7 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use and snapshottable.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first call
+    ``counter``/``histogram`` are get-or-create: the first call
     for a name creates the instrument, later calls return the same one.
     Asking for an existing name as a different kind is a
     :class:`~repro.errors.TelemetryError` (it would silently split the
@@ -245,10 +196,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The counter registered under *name* (created on first use)."""
         return self._get_or_create(name, "counter", lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under *name* (created on first use)."""
-        return self._get_or_create(name, "gauge", lambda: Gauge(name))
 
     def histogram(self, name: str) -> Histogram:
         """The histogram registered under *name* (created on first use)."""

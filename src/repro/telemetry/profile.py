@@ -2,8 +2,7 @@
 
 :func:`profile_report` turns one run's telemetry into the table a person
 reads first: per-stage wall/CPU/self time, execution vs cache-hit counts,
-stage-duration percentiles, achieved parallelism, and the artifact-cache
-totals.  *Self* time is a span's wall time minus its children's — the
+stage-duration percentiles, and the artifact-cache totals.  *Self* time is a span's wall time minus its children's — the
 time attributable to the stage itself rather than to nested work — which
 is what makes the "top stages" ranking honest for hierarchical spans.
 
@@ -190,12 +189,6 @@ def profile_report(
             f"p50 {stage_seconds['p50'] * 1e3:.2f} ms, "
             f"p90 {stage_seconds['p90'] * 1e3:.2f} ms, "
             f"p99 {stage_seconds['p99'] * 1e3:.2f} ms"
-        )
-    parallelism = snapshot.get("pipeline.parallelism", {})
-    if parallelism.get("max"):
-        lines.append(
-            f"parallelism achieved: {int(parallelism['max'])} "
-            "concurrent stage(s)"
         )
 
     if cache_stats is None:

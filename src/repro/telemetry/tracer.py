@@ -2,9 +2,10 @@
 
 A :class:`Tracer` produces a tree of :class:`~repro.telemetry.spans.Span`\\ s.
 Nesting is tracked per thread (a span opened inside another span on the
-same thread becomes its child), and cross-thread parentage — a pipeline
-stage running on a worker thread under a run-level span opened on the
-main thread — is expressed by passing ``parent=`` explicitly.
+same thread becomes its child), so concurrent ``repro serve`` worker
+threads each build their own subtree; any other parentage — a pipeline
+stage under its run-level span — is expressed by passing ``parent=``
+explicitly.
 
 The :class:`NullTracer` twin implements the same surface as cheap no-ops
 (a shared singleton span, no locking, no allocation), which is what makes
@@ -76,7 +77,7 @@ class Tracer:
 
     Thread safety: span finish goes through a locked
     :class:`~repro.telemetry.spans.SpanBuffer`, and the active-span stack
-    is thread-local, so parallel pipeline stages trace correctly.
+    is thread-local, so concurrent worker threads trace correctly.
     """
 
     def __init__(

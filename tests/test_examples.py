@@ -29,8 +29,7 @@ CASES = {
     "bibliometrics.py": ["Linear trend", "Top venues", "Figures written"],
     "pipeline_caching.py": ["cold run", "warm run", "stages executed",
                             "resumed run"],
-    "pipeline_profiling.py": ["span tree", "peak active screeners",
-                              "stage duration percentiles",
+    "pipeline_profiling.py": ["span tree", "stage duration percentiles",
                               "Chrome trace written"],
     "run_ledger.py": ["Recording two study runs", "ledger:",
                       "clean compare", "result drift -> exit code 3",

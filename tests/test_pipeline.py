@@ -215,14 +215,7 @@ class TestPipelineRun:
         assert set(run.executed) == {"base", "left"}
         assert set(run.outputs) == {"left"}
 
-    def test_serial_and_parallel_agree(self):
-        serial = _diamond().run()
-        parallel = _diamond().run(parallel=True, max_workers=4)
-        assert serial.outputs == parallel.outputs
-        assert set(serial.executed) == set(parallel.executed)
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_stage_failure_wrapped(self, parallel):
+    def test_stage_failure_wrapped(self):
         def boom(inputs):
             raise ValueError("kaput")
 
@@ -230,7 +223,7 @@ class TestPipelineRun:
             [Stage("a", lambda i: 1), Stage("b", boom, deps=("a",))]
         )
         with pytest.raises(StageExecutionError, match="stage 'b' failed"):
-            pipeline.run(parallel=parallel)
+            pipeline.run()
 
     def test_resume_after_simulated_crash(self, tmp_path):
         """Kill between stages; a re-run skips the completed prefix."""
@@ -315,10 +308,10 @@ class TestPipelineRun:
         assert isinstance(pickle.loads(pickle.dumps(run)), PipelineResult)
 
 
-class TestParallelFailure:
-    """Failure semantics under ``parallel=True``: a raising stage must
-    surface a :class:`StageExecutionError` naming the stage, dependents
-    must never execute, and the manifest must stay resumable."""
+class TestStageFailure:
+    """Failure semantics: a raising stage must surface a
+    :class:`StageExecutionError` naming the stage, dependents must never
+    execute, and the manifest must stay resumable."""
 
     @staticmethod
     def _build(survey_fn, executions):
@@ -344,17 +337,17 @@ class TestParallelFailure:
                     deps=("survey", "classify"),
                 ),
             ],
-            name="parallel-failure",
+            name="stage-failure",
         )
 
     def test_error_names_the_failing_stage(self):
         def crash(inputs, **params):
-            raise RuntimeError("simulated parallel crash")
+            raise RuntimeError("simulated crash")
 
         executions: list[str] = []
         pipeline = self._build(crash, executions)
         with pytest.raises(StageExecutionError, match="stage 'survey' failed"):
-            pipeline.run(parallel=True, max_workers=4)
+            pipeline.run()
 
     def test_dependents_of_failed_stage_never_execute(self):
         def crash(inputs, **params):
@@ -363,12 +356,12 @@ class TestParallelFailure:
         executions: list[str] = []
         pipeline = self._build(crash, executions)
         with pytest.raises(StageExecutionError):
-            pipeline.run(parallel=True, max_workers=4)
+            pipeline.run()
         assert "analyze" not in executions  # dependent was skipped
         assert "collect" in executions
 
-    def test_manifest_stays_resumable_after_parallel_failure(self, tmp_path):
-        """A parallel crash leaves a consistent ledger; the re-run skips
+    def test_manifest_stays_resumable_after_failure(self, tmp_path):
+        """A stage crash leaves a consistent ledger; the re-run skips
         the recorded prefix and completes."""
         def crash(inputs, **params):
             raise RuntimeError("boom")
@@ -380,8 +373,6 @@ class TestParallelFailure:
             broken.run(
                 cache=ArtifactCache(cache_dir),
                 manifest=RunManifest(tmp_path / "run.json"),
-                parallel=True,
-                max_workers=4,
             )
         ledger = RunManifest(tmp_path / "run.json")
         assert "collect" in ledger.completed  # prefix recorded
@@ -395,8 +386,6 @@ class TestParallelFailure:
         rerun = self._build(survey, executions).run(
             cache=ArtifactCache(cache_dir),
             manifest=RunManifest(tmp_path / "run.json"),
-            parallel=True,
-            max_workers=4,
         )
         assert rerun["analyze"] == 60
         assert executions.count("collect") == collect_runs_before  # resumed
@@ -414,15 +403,14 @@ class TestParallelFailure:
             name="multi-failure",
         )
         with pytest.raises(StageExecutionError, match="failed: boom"):
-            pipeline.run(parallel=True, max_workers=4)
+            pipeline.run()
 
-    def test_parallel_run_emits_wellformed_span_attributed_ndjson(self):
-        """Concurrent stages logging through one StructuredLogger must
-        produce one parseable NDJSON line per event — no interleaving —
-        and every stage event must carry its own stage span's id."""
+    def test_run_emits_wellformed_span_attributed_ndjson(self):
+        """Stages logging through one StructuredLogger must produce one
+        parseable NDJSON line per event, and every stage event must
+        carry its own stage span's id."""
         import io
         import json
-        import time
 
         from repro.telemetry import StructuredLogger, Telemetry
         from repro.telemetry.tracer import Tracer
@@ -434,13 +422,12 @@ class TestParallelFailure:
             log=StructuredLogger(tracer=tracer, stream=stream),
         )
 
-        def slow_survey(inputs, **params):
-            time.sleep(0.005)  # force genuine stage overlap
+        def survey(inputs, **params):
             return [x * 10 for x in inputs["collect"]]
 
         executions: list[str] = []
-        pipeline = self._build(slow_survey, executions)
-        pipeline.run(parallel=True, max_workers=4, telemetry=tel)
+        pipeline = self._build(survey, executions)
+        pipeline.run(telemetry=tel)
 
         lines = stream.getvalue().splitlines()
         payloads = [json.loads(line) for line in lines]  # all parse
@@ -458,8 +445,6 @@ class TestParallelFailure:
         }
         for payload in starts:
             assert payload["span_id"] == span_of[payload["fields"]["stage"]]
-        # survey/classify ran on worker threads: more than one thread id.
-        assert len({p["thread_id"] for p in starts}) > 1
         # The in-memory buffer and the stream agree line for line.
         assert len(tel.log.events()) == len(lines)
 
@@ -500,20 +485,6 @@ class TestStudyPipeline:
         counts = stage_execution_counts()
         assert counts["analyze"] == 2  # seed is an analyze parameter
         assert counts["collect"] == 1  # upstream stages stay cached
-
-    def test_serial_and_parallel_study_agree(self):
-        from repro.pipeline import ArtifactCache
-        from repro.pipeline.study import run_icsc_pipeline
-
-        serial, _ = run_icsc_pipeline(cache=ArtifactCache())
-        parallel, _ = run_icsc_pipeline(cache=ArtifactCache(), parallel=True)
-        assert serial.q2.distribution.to_dict() == (
-            parallel.q2.distribution.to_dict()
-        )
-        assert (
-            serial.comparison.permutation.p_value
-            == parallel.comparison.permutation.p_value
-        )
 
     def test_disk_cache_warm_across_instances(self, tmp_path):
         from repro.pipeline import ArtifactCache

@@ -193,3 +193,53 @@ def test_registry_histograms_are_sketch_backed():
     # No bucket bounds or other knobs: a histogram is chosen by name only.
     for factory in (MetricsRegistry.histogram, NullMetricsRegistry.histogram):
         assert list(inspect.signature(factory).parameters) == ["self", "name"]
+
+
+def _stage_dag_entry_points():
+    """Every entry point that runs a stage DAG."""
+    from repro.core.study import run_icsc_study
+    from repro.pipeline import Pipeline, render_icsc_artifacts, run_icsc_pipeline
+    from repro.reporting.figures import render_all_artifacts
+
+    return [
+        Pipeline.run,
+        run_icsc_pipeline,
+        render_icsc_artifacts,
+        render_all_artifacts,
+        run_icsc_study,
+    ]
+
+
+def test_stage_dags_have_no_execution_mode_knobs():
+    for entry in _stage_dag_entry_points():
+        knobs = {"parallel", "max_workers"} & set(
+            inspect.signature(entry).parameters
+        )
+        assert not knobs, f"{entry.__qualname__} accepts {sorted(knobs)}"
+
+
+def test_stage_dags_run_without_a_thread_pool():
+    for module_name in ("repro.pipeline.runner", "repro.reporting.figures"):
+        source = inspect.getsource(importlib.import_module(module_name))
+        assert not re.search(
+            r"^\s*(import concurrent|from concurrent)", source, re.MULTILINE
+        ), f"{module_name} imports concurrent.futures"
+
+
+def test_telemetry_has_no_gauge():
+    from repro.telemetry import MetricsRegistry
+    from repro.telemetry.hooks import NullMetricsRegistry
+
+    assert "Gauge" not in repro.telemetry.__all__
+    assert not hasattr(repro.telemetry, "Gauge")
+    for registry in (MetricsRegistry, NullMetricsRegistry):
+        assert not hasattr(registry, "gauge"), f"{registry.__name__}.gauge"
+
+
+def test_cli_has_no_parallel_option(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replicate", "--parallel"])
+    assert exit_info.value.code == 2
+    assert "--parallel" in capsys.readouterr().err

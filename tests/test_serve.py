@@ -538,12 +538,14 @@ class TestServerHandle:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get_json(handle.url + "/jobs/job-00000-missing")
             assert err.value.code == 404
+            err.value.close()
             request = urllib.request.Request(
                 handle.url + "/sweeps", data=b"nope", method="POST"
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request, timeout=10)
             assert err.value.code == 400
+            err.value.close()
 
     def test_close_is_idempotent(self, ctx):
         handle = ServerHandle(ctx, workers=2)
@@ -731,6 +733,7 @@ class TestSweepJobs:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     post_json(handle.url + "/sweeps", {})
                 assert err.value.code == 429
+                err.value.close()
                 # Cancel the queued job; cancelling again conflicts.
                 status, cancelled = post_json(
                     handle.url + "/jobs/" + queued["job"], {}, "DELETE"
@@ -741,6 +744,7 @@ class TestSweepJobs:
                         handle.url + "/jobs/" + running["job"], {}, "DELETE"
                     )
                 assert err.value.code == 409
+                err.value.close()
                 release.set()
         finally:
             release.set()

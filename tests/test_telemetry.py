@@ -154,17 +154,6 @@ class TestMetrics:
         with pytest.raises(TelemetryError):
             counter.inc(-1)
 
-    def test_gauge_tracks_high_watermark(self):
-        gauge = MetricsRegistry().gauge("inflight")
-        gauge.add(1)
-        gauge.add(1)
-        gauge.add(-1)
-        gauge.add(1)
-        assert gauge.value == 2
-        assert gauge.max == 2
-        gauge.set(0)
-        assert gauge.max == 2
-
     def test_histogram_buckets_and_percentiles(self):
         histogram = MetricsRegistry().histogram("latency")
         for value in (0.005, 0.05, 0.5, 5.0):
@@ -196,7 +185,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TelemetryError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_snapshot_and_pipeline_preregistration(self):
         registry = MetricsRegistry.for_pipeline()
@@ -369,7 +358,7 @@ class TestTelemetryFacade:
         assert "pipeline.stage_seconds" in tel.metrics.names()
 
 
-def _traced_diamond_run(parallel=False):
+def _traced_diamond_run():
     """Run a tiny diamond DAG under fresh telemetry; returns (tel, run)."""
     tel = Telemetry()
     pipeline = Pipeline(
@@ -386,7 +375,7 @@ def _traced_diamond_run(parallel=False):
         name="traced-diamond",
     )
     cache = ArtifactCache()
-    run = pipeline.run(cache=cache, parallel=parallel, telemetry=tel)
+    run = pipeline.run(cache=cache, telemetry=tel)
     return tel, pipeline, cache, run
 
 
@@ -429,21 +418,6 @@ class TestPipelineInstrumentation:
     def test_cache_binding_is_restored_after_run(self):
         tel, _, cache, _ = _traced_diamond_run()
         assert cache.telemetry is None  # bound only for the run's duration
-
-    def test_parallelism_gauge_sees_concurrency(self):
-        barrier = threading.Barrier(2)
-
-        def rendezvous(inputs):
-            barrier.wait(timeout=10)
-            return True
-
-        tel = Telemetry()
-        pipeline = Pipeline(
-            [Stage("a", rendezvous), Stage("b", rendezvous)],
-            name="concurrent",
-        )
-        pipeline.run(parallel=True, max_workers=2, telemetry=tel)
-        assert tel.metrics.gauge("pipeline.parallelism").max == 2
 
     def test_failed_stage_span_tags_error(self):
         def boom(inputs):
