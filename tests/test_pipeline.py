@@ -215,15 +215,21 @@ class TestPipelineRun:
         assert set(run.executed) == {"base", "left"}
         assert set(run.outputs) == {"left"}
 
-    def test_stage_failure_wrapped(self):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_stage_failure_wrapped(self, warm):
+        """A raising stage is wrapped whether its input was just executed
+        or served from a warm cache."""
         def boom(inputs):
             raise ValueError("kaput")
 
+        cache = ArtifactCache()
+        if warm:
+            Pipeline([Stage("a", lambda i: 1)]).run(cache=cache)
         pipeline = Pipeline(
             [Stage("a", lambda i: 1), Stage("b", boom, deps=("a",))]
         )
         with pytest.raises(StageExecutionError, match="stage 'b' failed"):
-            pipeline.run()
+            pipeline.run(cache=cache)
 
     def test_resume_after_simulated_crash(self, tmp_path):
         """Kill between stages; a re-run skips the completed prefix."""
