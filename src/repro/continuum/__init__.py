@@ -5,7 +5,6 @@ from repro.continuum.compile import (
     CompiledContinuum,
     CompiledProblem,
     CompiledWorkflow,
-    ResourceTimeline,
     compile_problem,
 )
 from repro.continuum.energy import PowerTrace, energy_report, power_trace
@@ -81,7 +80,6 @@ __all__ = [
     "ReplicationResult",
     "Resource",
     "ResourceKind",
-    "ResourceTimeline",
     "RoundRobinScheduler",
     "RunningStat",
     "Schedule",

@@ -17,13 +17,13 @@ generalized from *replaying* schedules to *building* them:
 * :class:`CompiledContinuum` — resource ids, speed/power/carbon vectors,
   the latency and bandwidth matrices, and the key-sorted ranks that
   reproduce string tie-breaks on integers.
-* :class:`CompiledProblem` — the pairing: the per-(task, resource)
-  duration matrix (IEEE-identical to ``Resource.execution_time``),
-  per-requirement-group feasibility masks, and per-(src, dst) transfer
-  rows so ``Continuum.transfer_time`` becomes an array expression
+* :class:`CompiledProblem` — the pairing: per-requirement-group
+  feasibility masks, per-(src, dst) transfer rows so
+  ``Continuum.transfer_time`` becomes an array expression
   (``latency[src, :] + size / bandwidth[src, :]`` — bit-equal in every
   case, including the free diagonal and zero-size transfers, because the
-  diagonal is ``latency 0 / bandwidth inf``).
+  diagonal is ``latency 0 / bandwidth inf``), and, only when the replay
+  loop asks for it, the per-(task, resource) duration matrix.
 
 On top of the compiled problem live the three placement kernels
 (:func:`heft_placements`, :func:`energy_placements`,
@@ -35,26 +35,27 @@ finishes, same tie-breaks — which the parity suite in
 speed comes from three moves:
 
 1. every per-candidate quantity (ready time, duration, energy) is one
-   array expression over the feasible set instead of a Python loop;
-2. the insertion-based ``earliest_slot`` — inherently sequential — is
-   only evaluated for candidates whose *lower bound* ``ready + duration``
-   can still beat the current best finish, in lower-bound order, so a
-   heterogeneous fleet evaluates a handful of timelines per task instead
-   of all of them;
-3. timelines skip straight to the first interval that can constrain the
-   query (bisect on finish times) instead of scanning from zero.
+   array expression over the feasible set instead of a Python loop; a
+   task's durations are ``work[t] / speed[feasible]``, the same IEEE
+   division as the duration matrix, so the kernels never build it (it
+   is ``n_tasks × n_resources``, 80 MB at 10k × 1k);
+2. the insertion slot search runs on one fleet-wide :class:`GapStore`
+   of *usable* free gaps, so the earliest slot on every candidate
+   resource at once is one array expression (``A = maximum(ready, a)``,
+   first ``A + dur <= b``) instead of a scalar scan per timeline;
+3. only candidates that can still hold the earliest finish are searched:
+   a candidate's finish lies between ``ready + duration`` and its
+   tail-gap finish ``max(ready, tail) + duration``, so a resource whose
+   lower bound exceeds the smallest tail-gap finish is skipped.
 
-Exactness of the pruning: a candidate's finish is at least
-``ready + duration`` (its start is ``>= ready``), so once the bound
-exceeds the best finish found, no remaining candidate can win — and
-because the reference keeps the *first* strict minimum in feasible
-order, candidates whose bound *equals* the best finish are still
-evaluated so ties resolve identically.
+Exactness of the pruning: the smallest tail-gap finish bounds the best
+finish from above, so a skipped resource can never win; candidates
+whose bound *equals* it are still searched, so the reference's first
+strict minimum in feasible order is kept.  Dropping free gaps shorter
+than the shortest task is exact as well (see :class:`GapStore`).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -66,7 +67,6 @@ __all__ = [
     "CompiledWorkflow",
     "CompiledContinuum",
     "CompiledProblem",
-    "ResourceTimeline",
     "compile_problem",
     "upward_rank_array",
     "heft_placements",
@@ -141,12 +141,6 @@ class CompiledWorkflow:
         """Predecessor ids of one task (CSR slice, reference order)."""
         return self.pred_ids[
             self.pred_indptr[task_id] : self.pred_indptr[task_id + 1]
-        ]
-
-    def successors_of(self, task_id: int) -> np.ndarray:
-        """Successor ids of one task (CSR slice, reference order)."""
-        return self.succ_ids[
-            self.succ_indptr[task_id] : self.succ_indptr[task_id + 1]
         ]
 
     def pred_lists(self) -> list[list[int]]:
@@ -240,7 +234,8 @@ class CompiledProblem:
     @property
     def duration(self) -> np.ndarray:
         """``duration[t, r]`` == resource ``r``'s ``execution_time(work[t])``
-        (the same IEEE division), read-only, built on first use."""
+        (the same IEEE division), read-only, built on first use; only
+        :meth:`dur_lists` needs it, the placement kernels do not."""
         if self._duration is None:
             duration = self.cw.work[:, None] / self.cc.speed[None, :]
             duration.setflags(write=False)
@@ -406,68 +401,103 @@ def upward_rank_array(problem: CompiledProblem) -> np.ndarray:
     return ranks
 
 
-# -- timelines -------------------------------------------------------------------
+# -- free-gap store --------------------------------------------------------------
 
 
-class ResourceTimeline:
-    """Occupied intervals on one resource, bisect-indexed.
+class GapStore:
+    """Usable free gaps of every resource, one padded row per resource.
 
-    The schedulers' insertion structure: reservations are kept as two
-    parallel start/finish lists sorted by start, and queries skip
-    straight to the first interval that can constrain them.  For the
-    disjoint reservations the schedulers create (every reservation is a
-    slot a previous :meth:`earliest_slot` returned) this is semantically
-    identical to the seed's cursor scan from zero: intervals finishing
-    at or before ``ready`` can never move the cursor or absorb the gap,
-    so the scan may start at the first interval whose finish exceeds
-    ``ready`` — found by bisection instead of a linear walk.
+    The insertion structure of the three placement kernels.  Row ``r``
+    holds the free gaps ``[a, b)`` of resource ``r`` sorted by time, and
+    ends with the open tail gap ``(tail, inf)``; rows are padded with
+    ``(inf, inf)`` to the common width.  The earliest slot on a row for
+    ``(ready, dur)`` is ``A[first fit]`` with ``A = maximum(ready, a)``
+    and ``fits = A + dur <= b`` — the same IEEE operations as the scalar
+    cursor scan over occupied intervals (the oracle in
+    ``tests/oracles.py``), so starts and ties are bit-identical.  The
+    tail gap always fits, so the search never reads past it.
+
+    Exactness details:
+
+    * A gap is kept only if ``a + dmin[r] <= b``, where ``dmin[r] =
+      work.min() / speed[r]`` is the shortest duration any task has on
+      ``r``.  IEEE division and addition are monotone, so every query
+      has ``A + dur >= a + dmin[r] > b`` on a dropped gap: dropping it
+      never changes an answer.
+    * :meth:`reserve` records the finish the kernel reserves, not a
+      recomputed one.  HEFT reserves ``(start, finish - start)`` and the
+      scalar timeline stores ``start + (finish - start)``, which can
+      differ from ``finish`` by one rounding; energy and round-robin
+      reserve ``(start, dur)``, stored as ``start + dur``.  Each kernel
+      passes the value the oracle stores.
+    * HEFT with ``insertion=False`` never queries gaps; it keeps its own
+      ``tails`` vector, unchanged.
+    * Energy-aware placement runs one search per task, over every row
+      whose lower bound ``ready + dur`` is at most ``slack ×`` the
+      smallest tail-gap finish, a superset of the rows with bound
+      ``<= slack × best_finish``.  The winner is still the ``lexsort``
+      over ``(energy, finish, resource key)``.
+    * Storage is ``O(n_resources × most usable gaps on one row)``; it
+      never grows with the longest timeline, because the occupied
+      intervals themselves are not kept.
     """
 
-    __slots__ = ("_starts", "_finishes")
+    __slots__ = ("a", "b", "count", "tail", "dmin")
 
-    def __init__(self) -> None:
-        self._starts: list[float] = []
-        self._finishes: list[float] = []
+    def __init__(self, dmin: np.ndarray, width: int = 8) -> None:
+        n = dmin.size
+        self.dmin = dmin
+        self.a = np.full((n, width), np.inf)
+        self.b = np.full((n, width), np.inf)
+        self.a[:, 0] = 0.0  # every row starts as one tail gap (0, inf)
+        self.count = [1] * n
+        self.tail = np.zeros(n, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self._starts)
+    def slots(
+        self, rows: np.ndarray, ready: np.ndarray, durs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Earliest start on each of *rows*, and the gap it falls in."""
+        starts = np.maximum(ready[:, None], self.a.take(rows, axis=0))
+        fits = starts + durs[:, None] <= self.b.take(rows, axis=0)
+        gaps = fits.argmax(axis=1)
+        return starts[np.arange(rows.size), gaps], gaps
 
-    @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        """Reserved (start, finish) pairs, sorted by start."""
-        return tuple(zip(self._starts, self._finishes))
+    def reserve(self, r: int, gap: int, start: float, finish: float) -> None:
+        """Occupy ``[start, finish)`` inside gap *gap* of row *r*.
 
-    @property
-    def last_finish(self) -> float:
-        """Finish time of the final reservation (0.0 when empty).
-
-        The public tail the append-only (``insertion=False``) placement
-        path uses — previously reached through ``_intervals[-1][1]``.
+        The gap ``[lo, hi)`` leaves ``[lo, start)`` and ``[finish, hi)``
+        behind, each kept only if usable; the tail gap's right part,
+        ending at ``inf``, is always kept.
         """
-        return self._finishes[-1] if self._finishes else 0.0
-
-    def tail(self) -> float:
-        """Alias of :attr:`last_finish`, as a method."""
-        return self.last_finish
-
-    def earliest_slot(self, ready: float, duration: float) -> float:
-        """Earliest start >= *ready* with a free gap of *duration*."""
-        starts, finishes = self._starts, self._finishes
-        if not finishes or ready >= finishes[-1]:
-            return ready  # nothing at or after ready constrains the slot
-        cursor = ready
-        for i in range(bisect_right(finishes, ready), len(starts)):
-            if cursor + duration <= starts[i]:
-                break
-            finish = finishes[i]
-            if finish > cursor:
-                cursor = finish
-        return cursor
-
-    def reserve(self, start: float, duration: float) -> None:
-        i = bisect_right(self._starts, start)
-        self._starts.insert(i, start)
-        self._finishes.insert(i, start + duration)
+        n = self.count[r]
+        a_row, b_row = self.a[r], self.b[r]
+        lo, hi = a_row[gap], b_row[gap]
+        dmin = self.dmin[r]
+        keep_left = lo + dmin <= start
+        keep_right = finish + dmin <= hi
+        if keep_left and keep_right:
+            if n == a_row.size:  # double the width of every row
+                pad = np.full(self.a.shape, np.inf)
+                self.a = np.hstack((self.a, pad))
+                self.b = np.hstack((self.b, pad))
+                a_row, b_row = self.a[r], self.b[r]
+            a_row[gap + 2 : n + 1] = a_row[gap + 1 : n]
+            b_row[gap + 2 : n + 1] = b_row[gap + 1 : n]
+            b_row[gap] = start
+            a_row[gap + 1] = finish
+            b_row[gap + 1] = hi
+            n += 1
+        elif keep_left:
+            b_row[gap] = start
+        elif keep_right:
+            a_row[gap] = finish
+        else:
+            a_row[gap : n - 1] = a_row[gap + 1 : n]
+            b_row[gap : n - 1] = b_row[gap + 1 : n]
+            n -= 1
+            a_row[n] = b_row[n] = np.inf
+        self.count[r] = n
+        self.tail[r] = a_row[n - 1]
 
 
 # -- candidate kernel ------------------------------------------------------------
@@ -485,18 +515,20 @@ def _ready_times(
     One gather per task: ``pred_finish + latency[pred_res, F] +
     output[pred] / bandwidth[pred_res, F]``, max-reduced over the
     predecessors — the reference inner double loop as two array ops.
+    The gathers are row ``take`` then column ``take``, which is about
+    twice as fast as one broadcast fancy index on a large fleet.
     """
     cw, cc = problem.cw, problem.cc
     preds = cw.predecessors_of(task_id)
     if preds.size == 0:
         return np.zeros(feasible.size, dtype=np.float64)
-    rows = res_of[preds][:, None]
-    lat = cc.latency[rows, feasible]
-    bw = cc.bandwidth[rows, feasible]
-    arrivals = fin[preds][:, None] + (
-        lat + cw.output_size[preds][:, None] / bw
+    rows = res_of.take(preds)
+    lat = cc.latency.take(rows, axis=0).take(feasible, axis=1)
+    bw = cc.bandwidth.take(rows, axis=0).take(feasible, axis=1)
+    arrivals = fin.take(preds)[:, None] + (
+        lat + cw.output_size.take(preds)[:, None] / bw
     )
-    return arrivals.max(axis=0, initial=0.0)
+    return np.maximum.reduce(arrivals, axis=0, initial=0.0)
 
 
 def _heft_order(problem: CompiledProblem) -> np.ndarray:
@@ -515,10 +547,9 @@ def heft_placements(
     """
     cw, cc = problem.cw, problem.cc
     n_tasks = cw.n_tasks
-    duration = problem.duration
     order = _heft_order(problem)
 
-    timelines = [ResourceTimeline() for _ in range(cc.n_resources)]
+    gaps = GapStore(cw.work.min() / cc.speed)
     tails = np.zeros(cc.n_resources, dtype=np.float64)
     res_of = np.zeros(n_tasks, dtype=np.intp)
     start_of = np.zeros(n_tasks, dtype=np.float64)
@@ -527,7 +558,7 @@ def heft_placements(
     for task_id in order:
         feasible = problem.feasible_ids(task_id)
         ready = _ready_times(problem, task_id, fin, res_of, feasible)
-        durs = duration[task_id, feasible]
+        durs = cw.work[task_id] / cc.speed[feasible]
         if not insertion:
             starts = np.maximum(ready, tails[feasible])
             finishes = starts + durs
@@ -537,56 +568,53 @@ def heft_placements(
             best_res = int(feasible[j])
             best_start = float(starts[j])
             best_finish = float(finishes[j])
+            if best_finish > tails[best_res]:
+                tails[best_res] = best_finish
         else:
-            best_res, best_start, best_finish = _best_insertion_slot(
-                timelines, feasible, ready, durs
+            cand, starts, slot_gaps = _candidate_slots(
+                gaps, feasible, ready, durs
+            )
+            finishes = starts + durs[cand]
+            k = int(finishes.argmin())
+            best_res = int(feasible[cand[k]])
+            best_start = float(starts[k])
+            best_finish = float(finishes[k])
+            gaps.reserve(
+                best_res,
+                int(slot_gaps[k]),
+                best_start,
+                best_start + (best_finish - best_start),
             )
         res_of[task_id] = best_res
         start_of[task_id] = best_start
         fin[task_id] = best_finish
-        timelines[best_res].reserve(best_start, best_finish - best_start)
-        if best_finish > tails[best_res]:
-            tails[best_res] = best_finish
     return res_of, start_of, fin
 
 
-def _best_insertion_slot(
-    timelines: list[ResourceTimeline],
+def _candidate_slots(
+    gaps: GapStore,
     feasible: np.ndarray,
     ready: np.ndarray,
     durs: np.ndarray,
-) -> tuple[int, float, float]:
-    """Earliest-finish insertion slot over the feasible set, exactly.
+    slack: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slots on every feasible row that can finish within ``slack ×`` the
+    earliest finish.
 
-    Evaluates timelines in increasing ``ready + duration`` (a finish
-    lower bound) and stops once the bound strictly exceeds the best
-    finish found; bound ties are still evaluated, so the winner matches
-    the reference's first-strict-minimum-in-feasible-order tie-break.
+    Returns ``(candidate positions in feasible, starts, gap indexes)``.
+    A row's finish lies between ``ready + dur`` and its tail-gap finish
+    ``max(ready, tail) + dur``, so the earliest finish is at most the
+    smallest tail-gap finish ``upper``, and rows whose lower bound
+    exceeds ``slack × upper`` can neither win nor finish within
+    ``slack ×`` the winner; rows whose bound equals it are kept, so the
+    first-minimum tie-break in feasible order is exact.
     """
-    bounds = ready + durs
-    scan = bounds.argsort(kind="stable").tolist()
-    # Python-list views: list indexing in the scan loop is several times
-    # cheaper than ndarray scalar indexing.
-    bounds_l = bounds.tolist()
-    ready_l = ready.tolist()
-    durs_l = durs.tolist()
-    feasible_l = feasible.tolist()
-    best_finish = np.inf
-    best_pos = -1
-    best_start = 0.0
-    for j in scan:
-        if bounds_l[j] > best_finish:
-            break
-        dur = durs_l[j]
-        start = timelines[feasible_l[j]].earliest_slot(ready_l[j], dur)
-        finish = start + dur
-        if finish < best_finish or (
-            finish == best_finish and j < best_pos
-        ):
-            best_finish = finish
-            best_pos = j
-            best_start = start
-    return feasible_l[best_pos], best_start, best_finish
+    upper = np.minimum.reduce(np.maximum(ready, gaps.tail[feasible]) + durs)
+    cand = (ready + durs <= slack * upper).nonzero()[0]
+    starts, slot_gaps = gaps.slots(
+        feasible.take(cand), ready.take(cand), durs.take(cand)
+    )
+    return cand, starts, slot_gaps
 
 
 def energy_placements(
@@ -594,19 +622,18 @@ def energy_placements(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy-aware placement on the compiled problem.
 
-    Same candidate kernel as HEFT plus the vectorized slack filter:
-    marginal energy is ``busy_power × duration`` — start-independent —
-    so only candidates whose finish lower bound clears
-    ``slack × best_finish`` ever touch a timeline.  Winner selection is
-    the reference ``min`` over ``(energy, finish, resource key)`` with
+    Same candidate kernel as HEFT, widened by the slack: one slot search
+    over every row whose finish lower bound is at most ``slack ×`` the
+    smallest tail-gap finish holds both the best finish and every
+    admissible row (finish ``<= slack × best_finish``).  Winner selection
+    is the reference ``min`` over ``(energy, finish, resource key)`` with
     first-in-feasible-order ties, done as one ``lexsort``.
     """
     cw, cc = problem.cw, problem.cc
     n_tasks = cw.n_tasks
-    duration = problem.duration
     order = _heft_order(problem)
 
-    timelines = [ResourceTimeline() for _ in range(cc.n_resources)]
+    gaps = GapStore(cw.work.min() / cc.speed)
     res_of = np.zeros(n_tasks, dtype=np.intp)
     start_of = np.zeros(n_tasks, dtype=np.float64)
     fin = np.zeros(n_tasks, dtype=np.float64)
@@ -614,55 +641,35 @@ def energy_placements(
     for task_id in order:
         feasible = problem.feasible_ids(task_id)
         ready = _ready_times(problem, task_id, fin, res_of, feasible)
-        durs = duration[task_id, feasible]
-        energies = cc.busy_power[feasible] * durs
-        bounds = ready + durs
-        scan = bounds.argsort(kind="stable").tolist()
-        bounds_l = bounds.tolist()
-        ready_l = ready.tolist()
-        durs_l = durs.tolist()
-        feasible_l = feasible.tolist()
+        durs = cw.work[task_id] / cc.speed[feasible]
 
-        # Pass 1: exact best finish via bound-pruned evaluation.
-        starts = np.full(feasible.size, np.nan)
-        best_finish = np.inf
-        for j in scan:
-            if bounds_l[j] > best_finish:
-                break
-            dur = durs_l[j]
-            start = timelines[feasible_l[j]].earliest_slot(ready_l[j], dur)
-            starts[j] = start
-            finish = start + dur
-            if finish < best_finish:
-                best_finish = finish
-
-        # Pass 2: exact finishes for every candidate that can still be
-        # admissible (finish >= bound, so bound > threshold is out).
-        threshold = slack * best_finish
-        maybe = np.flatnonzero(bounds <= threshold)
-        for j in maybe.tolist():
-            if np.isnan(starts[j]):
-                starts[j] = timelines[feasible_l[j]].earliest_slot(
-                    ready_l[j], durs_l[j]
-                )
-        finishes = starts[maybe] + durs[maybe]
-        admissible = maybe[finishes <= threshold]
-        fin_adm = starts[admissible] + durs[admissible]
+        maybe, starts, slot_gaps = _candidate_slots(
+            gaps, feasible, ready, durs, slack
+        )
+        finishes = starts + durs[maybe]
+        threshold = slack * finishes.min()
+        ok = (finishes <= threshold).nonzero()[0]
+        admissible = maybe[ok]
+        energies = cc.busy_power[feasible[admissible]] * durs[admissible]
         # min by (energy, finish, resource key), first occurrence wins.
-        pick = np.lexsort(
-            (
-                cc.key_array[feasible[admissible]],
-                fin_adm,
-                energies[admissible],
-            )
-        )[0]
-        j = int(admissible[pick])
-        best_res = int(feasible[j])
-        best_start = float(starts[j])
+        pick = ok[
+            np.lexsort(
+                (
+                    cc.key_array[feasible[admissible]],
+                    finishes[ok],
+                    energies,
+                )
+            )[0]
+        ]
+        dur = float(durs[maybe[pick]])
+        best_res = int(feasible[maybe[pick]])
+        best_start = float(starts[pick])
         res_of[task_id] = best_res
         start_of[task_id] = best_start
-        fin[task_id] = best_start + float(durs[j])
-        timelines[best_res].reserve(best_start, float(durs[j]))
+        fin[task_id] = best_start + dur
+        gaps.reserve(
+            best_res, int(slot_gaps[pick]), best_start, best_start + dur
+        )
     return res_of, start_of, fin
 
 
@@ -679,26 +686,27 @@ def round_robin_placements(
     cw, cc = problem.cw, problem.cc
     n_tasks = cw.n_tasks
     n_res = cc.n_resources
-    duration = problem.duration
 
-    timelines = [ResourceTimeline() for _ in range(n_res)]
+    gaps = GapStore(cw.work.min() / cc.speed)
     res_of = np.zeros(n_tasks, dtype=np.intp)
     start_of = np.zeros(n_tasks, dtype=np.float64)
     fin = np.zeros(n_tasks, dtype=np.float64)
     cursor = 0
     for task_id in cw.topo_order:
         feasible = problem.feasible_ids(task_id)
-        i = int(np.searchsorted(feasible, cursor))
-        r = int(feasible[i]) if i < feasible.size else int(feasible[0])
+        i = int(feasible.searchsorted(cursor))
+        if i == feasible.size:
+            i = 0
+        row = feasible[i : i + 1]
+        r = int(row[0])
         cursor = (r + 1) % n_res
-        ready_vec = _ready_times(
-            problem, task_id, fin, res_of, np.asarray([r], dtype=np.intp)
-        )
-        ready = float(ready_vec[0])
-        dur = float(duration[task_id, r])
-        start = timelines[r].earliest_slot(ready, dur)
+        ready = _ready_times(problem, task_id, fin, res_of, row)
+        durs = cw.work[task_id] / cc.speed[row]
+        starts, slot_gaps = gaps.slots(row, ready, durs)
+        start = float(starts[0])
+        finish = start + float(durs[0])
         res_of[task_id] = r
         start_of[task_id] = start
-        fin[task_id] = start + dur
-        timelines[r].reserve(start, dur)
+        fin[task_id] = finish
+        gaps.reserve(r, int(slot_gaps[0]), start, finish)
     return res_of, start_of, fin

@@ -15,13 +15,12 @@ merit energy studies report:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.continuum.resources import Continuum, ResourceKind
-from repro.continuum.scheduling import Schedule, TaskPlacement
+from repro.continuum.scheduling import Schedule
 from repro.errors import ContinuumError
 
 __all__ = ["PowerTrace", "power_trace", "energy_report"]
@@ -80,12 +79,6 @@ class PowerTrace:
         index = int(np.searchsorted(self.times, time, side="right")) - 1
         index = min(index, len(self.power) - 1)
         return float(self.power[index])
-
-
-def _placements_of(source: Schedule | Sequence[TaskPlacement]) -> tuple[TaskPlacement, ...]:
-    if isinstance(source, Schedule):
-        return source.placements
-    return tuple(source)
 
 
 def power_trace(

@@ -125,10 +125,6 @@ class FacetedClassification:
         self._labels: dict[str, dict[str, str]] = {}
 
     @property
-    def facet_keys(self) -> tuple[str, ...]:
-        return tuple(self._schemes)
-
-    @property
     def item_keys(self) -> tuple[str, ...]:
         """Items in recording order."""
         return tuple(self._labels)

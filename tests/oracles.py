@@ -9,7 +9,9 @@ import them from here.  They read well and run slowly, and none of them
 is reachable from ``src/``.
 
 * :func:`schedule_reference`, :func:`upward_ranks_reference` — the
-  original HEFT, energy-aware and round-robin placements and HEFT ranks;
+  original HEFT, energy-aware and round-robin placements and HEFT ranks,
+  on the scalar :class:`ResourceTimeline`, which is also the oracle of
+  the compiled kernels' gap store;
 * :func:`validate_reference` — the loop validator whose first-violation
   messages ``Schedule.validate()`` reproduces;
 * :func:`_simulate_reference` — the object-keyed event loop behind
@@ -29,11 +31,11 @@ is reachable from ``src/``.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 
-from repro.continuum.compile import ResourceTimeline
 from repro.continuum.failures import FailureTrace
 from repro.continuum.resources import Continuum
 from repro.continuum.scheduling import (
@@ -51,6 +53,64 @@ from repro.errors import ContinuumError, CorpusError, SchedulingError
 from repro.stats.frequency import FrequencyTable
 
 # -- scheduling ---------------------------------------------------------------
+
+class ResourceTimeline:
+    """Occupied intervals on one resource, bisect-indexed.
+
+    The scalar insertion structure of the reference schedulers, and the
+    oracle for ``repro.continuum.compile.GapStore``: reservations are
+    kept as two parallel start/finish lists sorted by start, and queries
+    skip straight to the first interval that can constrain them.  For
+    the disjoint reservations the schedulers create (every reservation
+    is a slot a previous :meth:`earliest_slot` returned) this is
+    semantically identical to a cursor scan from zero: intervals
+    finishing at or before ``ready`` can never move the cursor or absorb
+    the gap, so the scan may start at the first interval whose finish
+    exceeds ``ready`` — found by bisection instead of a linear walk.
+    """
+
+    __slots__ = ("_starts", "_finishes")
+
+    def __init__(self) -> None:
+        self._starts: list[float] = []
+        self._finishes: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """Reserved (start, finish) pairs, sorted by start."""
+        return tuple(zip(self._starts, self._finishes))
+
+    @property
+    def last_finish(self) -> float:
+        """Finish time of the final reservation (0.0 when empty)."""
+        return self._finishes[-1] if self._finishes else 0.0
+
+    def tail(self) -> float:
+        """Alias of :attr:`last_finish`, as a method."""
+        return self.last_finish
+
+    def earliest_slot(self, ready: float, duration: float) -> float:
+        """Earliest start >= *ready* with a free gap of *duration*."""
+        starts, finishes = self._starts, self._finishes
+        if not finishes or ready >= finishes[-1]:
+            return ready  # nothing at or after ready constrains the slot
+        cursor = ready
+        for i in range(bisect_right(finishes, ready), len(starts)):
+            if cursor + duration <= starts[i]:
+                break
+            finish = finishes[i]
+            if finish > cursor:
+                cursor = finish
+        return cursor
+
+    def reserve(self, start: float, duration: float) -> None:
+        i = bisect_right(self._starts, start)
+        self._starts.insert(i, start)
+        self._finishes.insert(i, start + duration)
+
 
 
 def _feasible_resources(

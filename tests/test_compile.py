@@ -12,7 +12,6 @@ import pytest
 
 from repro.continuum.compile import (
     CompiledProblem,
-    ResourceTimeline,
     compile_problem,
     upward_rank_array,
 )
@@ -29,6 +28,7 @@ from repro.continuum.simulate import simulate_schedule
 from repro.continuum.workflow import Task, Workflow, layered_workflow, random_workflow
 from repro.errors import SchedulingError
 from tests.oracles import (
+    ResourceTimeline,
     _simulate_reference,
     schedule_reference,
     upward_ranks_reference,

@@ -46,7 +46,12 @@ CONTINUUM_MODULES = ["repro.continuum"] + sorted(
 )
 
 #: Reference implementations live in tests/oracles.py, never in src/.
-ORACLE_ONLY_NAMES = {"_replay", "_FailureClock"}
+ORACLE_ONLY_NAMES = {
+    "_replay",
+    "_FailureClock",
+    "ResourceTimeline",
+    "earliest_slot",
+}
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES)

