@@ -199,3 +199,93 @@ class TestPermutationMean:
         with pytest.raises(StatsError):
             permutation_mean_test([1.0, 2.0], [1.0, 2.0],
                                   seed=0, rng=np.random.default_rng(0))
+
+
+class TestOneShotGoldens:
+    """Literal outputs of the three randomized one-shot tests.
+
+    ``repro.obs.compare`` and ``repro.core.analysis`` consume these
+    p-values, so a change to a draw call, a tolerance or the add-one
+    smoothing must move one of these numbers.  The ``rng=`` cases also
+    pin how much of the generator each call consumes: the next integer
+    drawn from it after the call.
+    """
+
+    @pytest.mark.parametrize(
+        ("args", "kwargs", "expected"),
+        [
+            (([3, 7, 3, 6, 6], 1), dict(seed=1, n_resamples=2000),
+             (0.12, 0.48)),
+            (((120, 45, 30, 15), 3),
+             dict(seed=11, n_resamples=500, confidence=0.9),
+             (0.04285714285714286, 0.10476190476190476)),
+            ((FrequencyTable({"a": 4, "b": 11, "c": 1}), 0), dict(seed=9),
+             (0.0625, 0.5)),
+        ],
+    )
+    def test_bootstrap_share_ci(self, args, kwargs, expected):
+        assert bootstrap_share_ci(*args, **kwargs) == expected
+
+    @pytest.mark.parametrize(
+        ("a", "b", "kwargs", "expected"),
+        [
+            ([3, 7, 3, 6, 6], [4, 11, 1, 6, 6],
+             dict(seed=3, n_permutations=500),
+             (0.1357142857142857, 0.872255489021956)),
+            ((300, 50, 20), (100, 150, 90), dict(seed=5, n_permutations=1000),
+             (0.5166931637519874, 0.000999000999000999)),
+            ([30, 30, 30], [30, 30, 30], dict(seed=0), (0.0, 1.0)),
+        ],
+    )
+    def test_permutation_tvd_test(self, a, b, kwargs, expected):
+        result = permutation_tvd_test(a, b, **kwargs)
+        assert (result.statistic, result.p_value) == expected
+        assert (result.dof, result.method) == (0, "permutation TVD")
+
+    @pytest.mark.parametrize(
+        ("a", "b", "kwargs", "expected"),
+        [
+            ([1.0, 1.1, 0.9], [1.4, 1.5, 1.3],
+             dict(seed=5, n_permutations=500),
+             (0.40000000000000013, 0.10379241516966067)),
+            ([1.0, 1.02, 0.98, 1.01], [1.01, 0.99, 1.03],
+             dict(seed=2, n_permutations=300),
+             (0.007500000000000062, 0.6810631229235881)),
+            # All observations equal: no variability, p is exactly 1.
+            ([2.0, 2.0, 2.0], [2.0, 2.0], dict(seed=0, n_permutations=200),
+             (0.0, 1.0)),
+            ([2.5, 2.5], [2.5, 2.5, 2.5], dict(seed=0), (0.0, 1.0)),
+        ],
+    )
+    def test_permutation_mean_test(self, a, b, kwargs, expected):
+        result = permutation_mean_test(a, b, **kwargs)
+        assert (result.statistic, result.p_value) == expected
+        assert (result.dof, result.method) == (0, "permutation mean")
+
+    @pytest.mark.parametrize(
+        ("call", "expected", "next_draw"),
+        [
+            (lambda rng: bootstrap_share_ci(
+                [3, 7, 3, 6, 6], 1, rng=rng, n_resamples=2000),
+             (0.12, 0.44), 182086052980453274),
+            (lambda rng: permutation_tvd_test(
+                [3, 7, 3, 6, 6], [4, 11, 1, 6, 6], rng=rng,
+                n_permutations=500).p_value,
+             0.8762475049900199, 3825383900596782033),
+            (lambda rng: permutation_mean_test(
+                [1.0, 1.1, 0.9], [1.4, 1.5, 1.3], rng=rng,
+                n_permutations=500).p_value,
+             0.11177644710578842, 2731818309964415647),
+            # The zero-variance mean test draws nothing: the generator's
+            # next integer is its first.
+            (lambda rng: permutation_mean_test(
+                [2.0, 2.0, 2.0], [2.0, 2.0], rng=rng,
+                n_permutations=200).p_value,
+             1.0, 3602269063097244188),
+        ],
+        ids=["bootstrap", "tvd", "mean", "mean-all-equal"],
+    )
+    def test_generator_consumption(self, call, expected, next_draw):
+        rng = np.random.default_rng(21)
+        assert call(rng) == expected
+        assert int(rng.integers(2**62)) == next_draw
