@@ -36,9 +36,6 @@ from repro.stats.fanout import (
     StatSpec,
     StatSweepResult,
     StatTask,
-    adaptive_bootstrap_share_ci,
-    adaptive_permutation_mean_test,
-    adaptive_permutation_tvd_test,
     run_stat_sweep,
     share_ci_tasks,
 )
@@ -51,9 +48,6 @@ __all__ = [
     "StatSweepResult",
     "StatTask",
     "TestResult",
-    "adaptive_bootstrap_share_ci",
-    "adaptive_permutation_mean_test",
-    "adaptive_permutation_tvd_test",
     "run_stat_sweep",
     "share_ci_tasks",
     "align_tables",

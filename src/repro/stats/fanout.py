@@ -14,11 +14,11 @@ statistics:
 * **tasks instead of cells** — a :class:`StatTask` names one randomized
   estimate: a bootstrap CI for a category share, or a permutation
   p-value (total-variation or difference-of-means);
-* **the draw and the fold** — each round is one vectorized NumPy call
-  (multinomial / hypergeometric / permuted-matrix) drawing from its own
-  ``SeedSequence`` child of the task's content-addressed entropy, so a
-  task's draw stream is identical whether it stops early or runs to the
-  cap;
+* **the fold** — a round is one call of the task's draw kernel, the
+  same function its one-shot test in :mod:`repro.stats.inference` calls,
+  with its own ``SeedSequence`` child of the task's content-addressed
+  entropy, so a task's draw stream is identical whether it stops early
+  or runs to the cap;
 * **the stop rule** — adaptive mode stops a task once the Monte-Carlo
   standard error of its estimate reaches :attr:`StatSpec.target_se`
   (binomial s.e. for p-values, resample s.e. for bootstrap shares),
@@ -29,6 +29,10 @@ ledger record come from the engine.  Stat sweeps take its serial path:
 a round is already one array call, so a process pool's fan-out overhead
 would dominate.  Rounds fold in order, so a task's result is the same
 however many other tasks share the sweep.
+
+The entry points are :func:`run_stat_sweep` and :func:`share_ci_tasks`
+(the Fig. 2/4 share sensitivity); one adaptive estimate is a one-task
+:class:`StatSpec`.
 """
 
 from __future__ import annotations
@@ -41,14 +45,19 @@ import numpy as np
 
 from repro.errors import StatsError
 from repro.stats.frequency import FrequencyTable
-from repro.stats.inference import total_variation_distance
-from repro.stats.rounds import (
-    Rounds,
-    SweepOutcome,
-    Unit,
-    round_rng,
-    run_rounds,
+from repro.stats.inference import (
+    check_share,
+    count_pair,
+    finite_sample,
+    mean_exceedances,
+    p_value,
+    share_interval,
+    share_resamples,
+    total_variation_distance,
+    tvd_exceedances,
+    whole_counts,
 )
+from repro.stats.rounds import Rounds, SweepOutcome, Unit, round_rng, run_rounds
 
 __all__ = [
     "STAT_ENGINE_VERSION",
@@ -59,9 +68,6 @@ __all__ = [
     "StatSweepResult",
     "run_stat_sweep",
     "share_ci_tasks",
-    "adaptive_bootstrap_share_ci",
-    "adaptive_permutation_tvd_test",
-    "adaptive_permutation_mean_test",
 ]
 
 #: Bump when draw semantics or the result layout change (cache-key part).
@@ -71,36 +77,14 @@ STAT_ENGINE_VERSION = "1"
 STAT_KINDS = ("bootstrap_share", "permutation_tvd", "permutation_mean")
 
 
-def _counts_tuple(counts: Any, name: str) -> tuple[int, ...]:
-    if isinstance(counts, FrequencyTable):
-        counts = counts.values
-    values = tuple(int(v) for v in np.asarray(counts).ravel())
-    if len(values) < 2:
-        raise StatsError(f"{name} needs >= 2 categories")
-    if any(v < 0 for v in values):
-        raise StatsError(f"{name} must be non-negative")
-    if sum(values) <= 0:
-        raise StatsError(f"{name} must not be all zero")
-    return values
-
-
-def _sample_tuple(sample: Any, name: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in np.asarray(sample, dtype=np.float64).ravel())
-    if len(values) < 2:
-        raise StatsError(f"{name} needs >= 2 observations")
-    if not all(math.isfinite(v) for v in values):
-        raise StatsError(f"{name} must be finite")
-    return values
-
-
 @dataclass(frozen=True)
 class StatTask:
     """One randomized estimate to drive through the fan-out.
 
     ``kind`` selects the draw routine; the data fields it needs are
     kind-specific (``counts``/``label_index``/``confidence`` for
-    ``bootstrap_share``; ``a``/``b`` for the permutation tests — counts
-    for ``permutation_tvd``, continuous samples for
+    ``bootstrap_share``; ``a``/``b`` for the permutation tests — whole
+    counts for ``permutation_tvd``, continuous samples for
     ``permutation_mean``).  Data is stored as plain tuples so a task is
     hashable and content-addressable.
     """
@@ -124,29 +108,18 @@ class StatTask:
         if self.kind == "bootstrap_share":
             if self.counts is None:
                 raise StatsError("bootstrap_share needs counts")
-            counts = _counts_tuple(self.counts, "counts")
+            counts = tuple(int(v) for v in whole_counts(self.counts))
             object.__setattr__(self, "counts", counts)
-            if not 0 <= self.label_index < len(counts):
-                raise StatsError(
-                    f"label_index {self.label_index} out of range"
-                )
-            if not 0 < self.confidence < 1:
-                raise StatsError("confidence must be in (0, 1)")
+            check_share(len(counts), self.label_index, self.confidence)
         else:
             if self.a is None or self.b is None:
                 raise StatsError(f"{self.kind} needs samples a and b")
             if self.kind == "permutation_tvd":
-                a = tuple(float(v) for v in _counts_tuple(self.a, "a"))
-                b = tuple(float(v) for v in _counts_tuple(self.b, "b"))
-                if len(a) != len(b):
-                    raise StatsError(
-                        "both count vectors need the same categories"
-                    )
+                a, b = count_pair(self.a, self.b)
             else:
-                a = _sample_tuple(self.a, "a")
-                b = _sample_tuple(self.b, "b")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+                a, b = finite_sample(self.a, "a"), finite_sample(self.b, "b")
+            object.__setattr__(self, "a", tuple(a.tolist()))
+            object.__setattr__(self, "b", tuple(b.tolist()))
 
     def identity(self) -> dict[str, Any]:
         """Everything that pins this task's draw streams and estimate."""
@@ -284,10 +257,18 @@ class StatSweepResult(SweepOutcome):
 # -- per-kind draw rounds ----------------------------------------------------------
 
 
-class _TaskState:
-    """Streaming accumulation of one task's draw rounds."""
+_KERNELS = {
+    "bootstrap_share": share_resamples,
+    "permutation_tvd": tvd_exceedances,
+    "permutation_mean": mean_exceedances,
+}
 
-    __slots__ = ("task", "entropy", "chunks", "exceed", "observed")
+
+class _TaskState:
+    """Streaming accumulation of one task's draw rounds; ``args`` are its
+    kernel's data arguments."""
+
+    __slots__ = ("task", "entropy", "args", "chunks", "exceed", "observed")
 
     def __init__(self, task: StatTask, entropy: int) -> None:
         self.task = task
@@ -295,45 +276,16 @@ class _TaskState:
         self.chunks: list[np.ndarray] = []   # bootstrap share resamples
         self.exceed = 0                      # permutation exceedances
         self.observed = 0.0
+        if task.kind == "bootstrap_share":
+            self.args = (np.asarray(task.counts, np.float64), task.label_index)
+            return
+        a = np.asarray(task.a, dtype=np.float64)
+        b = np.asarray(task.b, dtype=np.float64)
         if task.kind == "permutation_tvd":
-            self.observed = total_variation_distance(task.a, task.b)
-        elif task.kind == "permutation_mean":
-            self.observed = float(np.mean(task.b) - np.mean(task.a))
-
-
-def _run_round(state: _TaskState, rng: np.random.Generator, size: int):
-    """Draw *size* Monte-Carlo samples for one task, vectorized.
-
-    Returns the round's resampled shares (bootstrap) or its count of
-    permuted statistics at least as extreme as the observed one.
-    """
-    task = state.task
-    if task.kind == "bootstrap_share":
-        counts = np.asarray(task.counts, dtype=np.float64)
-        n = int(counts.sum())
-        resamples = rng.multinomial(n, counts / n, size=size)
-        return resamples[:, task.label_index] / n
-    va = np.asarray(task.a, dtype=np.float64)
-    vb = np.asarray(task.b, dtype=np.float64)
-    if task.kind == "permutation_tvd":
-        pooled = (va + vb).astype(np.int64)
-        na = int(va.sum())
-        drawn = rng.multivariate_hypergeometric(pooled, na, size=size)
-        rest = pooled[None, :] - drawn
-        pa = drawn / na
-        pb = rest / rest.sum(axis=1, keepdims=True)
-        tvd = 0.5 * np.abs(pa - pb).sum(axis=1)
-        return int((tvd >= state.observed - 1e-12).sum())
-    pooled = np.concatenate([va, vb])
-    if np.ptp(pooled) == 0.0:
-        # No variability: every permuted delta is 0 == |observed|.
-        return size
-    idx = rng.permuted(np.tile(np.arange(pooled.size), (size, 1)), axis=1)
-    shuffled = pooled[idx]
-    mean_a = shuffled[:, : va.size].mean(axis=1)
-    mean_b = shuffled[:, va.size:].mean(axis=1)
-    deltas = np.abs(mean_b - mean_a)
-    return int((deltas >= abs(state.observed) - 1e-15).sum())
+            self.observed = total_variation_distance(a, b)
+        else:
+            self.observed = float(b.mean() - a.mean())
+        self.args = (a, b, self.observed)
 
 
 def _standard_error(state: _TaskState, draws: int) -> float:
@@ -350,25 +302,19 @@ def _standard_error(state: _TaskState, draws: int) -> float:
         if shares.size < 2:
             return math.inf
         return float(shares.std(ddof=1) / math.sqrt(shares.size))
-    p = (1.0 + state.exceed) / (draws + 1.0)
+    p = p_value(state.exceed, draws)
     return math.sqrt(p * (1.0 - p) / draws)
 
 
 def _finish(state: _TaskState, draws: int) -> StatCell:
     task = state.task
     if task.kind == "bootstrap_share":
-        shares = np.concatenate(state.chunks)
-        counts = task.counts
-        alpha = (1.0 - task.confidence) / 2.0
-        low, high = np.quantile(shares, [alpha, 1.0 - alpha])
-        estimate = {
-            "share": counts[task.label_index] / sum(counts),
-            "low": float(low),
-            "high": float(high),
-        }
+        low, high = share_interval(np.concatenate(state.chunks), task.confidence)
+        share = task.counts[task.label_index] / sum(task.counts)
+        estimate = {"share": share, "low": low, "high": high}
     else:
-        p_value = (1.0 + state.exceed) / (draws + 1.0)
-        estimate = {"statistic": state.observed, "p_value": p_value}
+        p = p_value(state.exceed, draws)
+        estimate = {"statistic": state.observed, "p_value": p}
     return StatCell(
         name=task.name,
         kind=task.kind,
@@ -448,7 +394,7 @@ class _StatRounds(Rounds):
         index, start, count = item
         state = self.states[index]
         rng = round_rng(state.entropy, start // self.spec.round_size)
-        return _run_round(state, rng, count)
+        return _KERNELS[state.task.kind](rng, count, *state.args)
 
     def fold(self, index: int, values) -> None:
         state = self.states[index]
@@ -489,120 +435,4 @@ def share_ci_tasks(
             confidence=confidence,
         )
         for index, label in enumerate(table.labels)
-    )
-
-
-def _single(
-    task: StatTask,
-    *,
-    seed: int,
-    target_se: float | None,
-    max_draws: int | None,
-    draws: int,
-    round_size: int,
-    cache,
-    telemetry,
-    registry,
-) -> StatCell:
-    spec = StatSpec(
-        tasks=(task,),
-        seed=seed,
-        draws=draws,
-        round_size=round_size,
-        target_se=target_se,
-        max_draws=max_draws,
-    )
-    return run_stat_sweep(
-        spec, cache=cache, telemetry=telemetry, registry=registry
-    ).cells[0]
-
-
-def adaptive_bootstrap_share_ci(
-    counts,
-    label_index: int,
-    *,
-    target_se: float = 1e-3,
-    max_draws: int = 50_000,
-    confidence: float = 0.95,
-    seed: int = 0,
-    round_size: int = 1_000,
-    cache=None,
-    telemetry=None,
-    registry=None,
-) -> StatCell:
-    """Adaptive percentile-bootstrap CI for one category's share.
-
-    Drop-in upgrade of :func:`repro.stats.inference.bootstrap_share_ci`
-    through the fan-out engine: draws stop once the resample standard
-    error reaches *target_se*.  Returns the full :class:`StatCell`
-    (``estimate["low"]``/``estimate["high"]`` are the interval).
-    """
-    task = StatTask(
-        name=f"bootstrap_share:{label_index}",
-        kind="bootstrap_share",
-        counts=_counts_tuple(counts, "counts"),
-        label_index=label_index,
-        confidence=confidence,
-    )
-    return _single(
-        task, seed=seed, target_se=target_se, max_draws=max_draws,
-        draws=max_draws, round_size=round_size,
-        cache=cache, telemetry=telemetry, registry=registry,
-    )
-
-
-def adaptive_permutation_tvd_test(
-    a,
-    b,
-    *,
-    target_se: float = 5e-3,
-    max_draws: int = 50_000,
-    seed: int = 0,
-    round_size: int = 1_000,
-    cache=None,
-    telemetry=None,
-    registry=None,
-) -> StatCell:
-    """Adaptive total-variation permutation test (see
-    :func:`repro.stats.inference.permutation_tvd_test`); permutations
-    stop once the p-value's binomial standard error reaches
-    *target_se*."""
-    task = StatTask(
-        name="permutation_tvd",
-        kind="permutation_tvd",
-        a=_counts_tuple(a, "a"),
-        b=_counts_tuple(b, "b"),
-    )
-    return _single(
-        task, seed=seed, target_se=target_se, max_draws=max_draws,
-        draws=max_draws, round_size=round_size,
-        cache=cache, telemetry=telemetry, registry=registry,
-    )
-
-
-def adaptive_permutation_mean_test(
-    a,
-    b,
-    *,
-    target_se: float = 5e-3,
-    max_draws: int = 50_000,
-    seed: int = 0,
-    round_size: int = 1_000,
-    cache=None,
-    telemetry=None,
-    registry=None,
-) -> StatCell:
-    """Adaptive difference-of-means permutation test (see
-    :func:`repro.stats.inference.permutation_mean_test`); same stopping
-    rule as :func:`adaptive_permutation_tvd_test`."""
-    task = StatTask(
-        name="permutation_mean",
-        kind="permutation_mean",
-        a=_sample_tuple(a, "a"),
-        b=_sample_tuple(b, "b"),
-    )
-    return _single(
-        task, seed=seed, target_se=target_se, max_draws=max_draws,
-        draws=max_draws, round_size=round_size,
-        cache=cache, telemetry=telemetry, registry=registry,
     )

@@ -16,6 +16,11 @@ produce by chance.  This module provides:
 
 All randomized routines take an explicit ``rng`` or ``seed`` so results are
 reproducible, per the HPC guide's determinism rule.
+
+Each randomized test's draws are one kernel (:func:`share_resamples`,
+:func:`tvd_exceedances`, :func:`mean_exceedances`) called once by the
+one-shot function here and once per round by :mod:`repro.stats.fanout`,
+which validates with the same :func:`whole_counts`/:func:`finite_sample`.
 """
 
 from __future__ import annotations
@@ -54,6 +59,105 @@ def _as_counts(counts: CountsLike, name: str = "counts") -> np.ndarray:
     if values.sum() <= 0:
         raise StatsError(f"{name} must not be all zero")
     return values
+
+
+def whole_counts(counts: CountsLike, name: str = "counts") -> np.ndarray:
+    """Counts a resampling routine draws observations from: whole numbers."""
+    values = _as_counts(counts, name)
+    if not (np.isfinite(values).all() and (values == np.floor(values)).all()):
+        raise StatsError(f"{name} must be whole numbers")
+    return values
+
+
+def count_pair(a: CountsLike, b: CountsLike, validate=whole_counts):
+    """Two count vectors over the same categories, each checked by *validate*."""
+    va, vb = validate(a, "a"), validate(b, "b")
+    if va.shape != vb.shape:
+        raise StatsError("both count vectors need the same categories")
+    return va, vb
+
+
+def finite_sample(sample: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
+    """One continuous sample of a difference-of-means test."""
+    values = np.asarray(sample, dtype=np.float64).ravel()
+    if values.size < 2:
+        raise StatsError(f"{name} needs >= 2 observations")
+    if not np.isfinite(values).all():
+        raise StatsError(f"{name} must be finite")
+    return values
+
+
+def check_share(n_categories: int, label_index: int, confidence: float) -> None:
+    """Validate the label and confidence of a share interval."""
+    if not 0 <= label_index < n_categories:
+        raise StatsError(f"label_index {label_index} out of range")
+    if not 0 < confidence < 1:
+        raise StatsError("confidence must be in (0, 1)")
+
+
+def _generator(draws: int, noun: str, seed: int | None, rng):
+    """The generator of a one-shot test drawing *draws* *noun*."""
+    if draws < 100:
+        raise StatsError(f"need at least 100 {noun}")
+    if rng is not None and seed is not None:
+        raise StatsError("provide either seed or rng, not both")
+    return np.random.default_rng(seed) if rng is None else rng
+
+
+# -- draw kernels: (generator, draw count, data) -> draws ----------------------
+
+
+def share_resamples(rng, size: int, counts: np.ndarray, label_index: int):
+    """*size* bootstrap resamples of one category's share: one multinomial
+    draw of the observations underlying *counts*."""
+    n = int(counts.sum())
+    return rng.multinomial(n, counts / n, size=size)[:, label_index] / n
+
+
+def share_interval(shares: np.ndarray, confidence: float) -> tuple[float, float]:
+    """Percentile interval ``(low, high)`` of resampled *shares*."""
+    alpha = (1.0 - confidence) / 2.0
+    low, high = np.quantile(shares, [alpha, 1.0 - alpha])
+    return float(low), float(high)
+
+
+def tvd_exceedances(rng, size: int, a: np.ndarray, b: np.ndarray, observed: float):
+    """How many of *size* permutations reach the *observed* TVD.
+
+    A permutation reshuffles the pooled observations into two groups of
+    the original sizes: a multivariate-hypergeometric draw of ``sum(a)``
+    observations from the pooled counts.
+    """
+    pooled = (a + b).astype(np.int64)
+    na = int(a.sum())
+    drawn = rng.multivariate_hypergeometric(pooled, na, size=size)
+    rest = pooled[None, :] - drawn
+    pa = drawn / na
+    pb = rest / rest.sum(axis=1, keepdims=True)
+    tvd = 0.5 * np.abs(pa - pb).sum(axis=1)
+    return int((tvd >= observed - 1e-12).sum())
+
+
+def mean_exceedances(rng, size: int, a: np.ndarray, b: np.ndarray, observed: float):
+    """How many of *size* permutations reach ``|mean(b) - mean(a)|`` of at
+    least ``|observed|``.  With every observation equal all *size* tie it,
+    and no draw is made."""
+    pooled = np.concatenate([a, b])
+    if np.ptp(pooled) == 0.0:
+        return size
+    # Permute tiled index rows in place — O(R·n) and integer-sized, versus
+    # argsort over an R×n float matrix (O(R·n·log n) plus 8n bytes/row).
+    idx = rng.permuted(np.tile(np.arange(pooled.size), (size, 1)), axis=1)
+    shuffled = pooled[idx]
+    mean_a = shuffled[:, : a.size].mean(axis=1)
+    mean_b = shuffled[:, a.size :].mean(axis=1)
+    deltas = np.abs(mean_b - mean_a)
+    return int((deltas >= abs(observed) - 1e-15).sum())
+
+
+def p_value(exceedances: int, draws: int) -> float:
+    """Add-one smoothed permutation p-value: never 0, always valid."""
+    return (1.0 + exceedances) / (draws + 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +241,7 @@ def chi_square_homogeneity(a: CountsLike, b: CountsLike) -> TestResult:
     """Chi-square homogeneity test for two count vectors over the same categories."""
     from scipy import stats as sps
 
-    va, vb = _as_counts(a, "a"), _as_counts(b, "b")
-    if va.shape != vb.shape:
-        raise StatsError("both count vectors need the same categories")
+    va, vb = count_pair(a, b, _as_counts)
     table = np.vstack([va, vb])
     # Drop categories empty in both samples: they carry no information and
     # break the expected-frequency computation.
@@ -161,37 +263,21 @@ def bootstrap_share_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap CI for one category's share.
 
-    Resamples the *observations* underlying the count vector (multinomial
-    with the empirical shares), fully vectorized: one
-    ``Generator.multinomial`` call produces all resamples.
+    Resamples the observations underlying the count vector with
+    :func:`share_resamples`; *counts* must be whole numbers.
 
     Returns ``(low, high)``.
     """
-    values = _as_counts(counts)
-    if not 0 <= label_index < values.size:
-        raise StatsError(f"label_index {label_index} out of range")
-    if not 0 < confidence < 1:
-        raise StatsError("confidence must be in (0, 1)")
-    if n_resamples < 100:
-        raise StatsError("need at least 100 resamples")
-    if rng is not None and seed is not None:
-        raise StatsError("provide either seed or rng, not both")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    n = int(values.sum())
-    p = values / n
-    resamples = rng.multinomial(n, p, size=n_resamples)  # (R, k)
-    shares = resamples[:, label_index] / n
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(shares, [alpha, 1.0 - alpha])
-    return float(low), float(high)
+    values = whole_counts(counts)
+    check_share(values.size, label_index, confidence)
+    rng = _generator(n_resamples, "resamples", seed, rng)
+    shares = share_resamples(rng, n_resamples, values, label_index)
+    return share_interval(shares, confidence)
 
 
 def total_variation_distance(a: CountsLike, b: CountsLike) -> float:
     """Total variation distance between two count distributions, in ``[0, 1]``."""
-    va, vb = _as_counts(a, "a"), _as_counts(b, "b")
-    if va.shape != vb.shape:
-        raise StatsError("both count vectors need the same categories")
+    va, vb = count_pair(a, b, _as_counts)
     return float(0.5 * np.abs(va / va.sum() - vb / vb.sum()).sum())
 
 
@@ -207,31 +293,15 @@ def permutation_tvd_test(
 
     The statistic is the total variation distance between the two empirical
     distributions.  Under the null, category labels are exchangeable between
-    the samples; the permutation reshuffles the pooled observations into two
-    groups of the original sizes.  Vectorized via multivariate-hypergeometric
-    resampling of the pooled counts (equivalent to label permutation).
+    the samples; :func:`tvd_exceedances` reshuffles the pooled
+    observations into two groups of the original sizes.  *a* and *b*
+    must be whole counts.
     """
-    va, vb = _as_counts(a, "a"), _as_counts(b, "b")
-    if va.shape != vb.shape:
-        raise StatsError("both count vectors need the same categories")
-    if n_permutations < 100:
-        raise StatsError("need at least 100 permutations")
-    if rng is not None and seed is not None:
-        raise StatsError("provide either seed or rng, not both")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    va, vb = count_pair(a, b)
+    rng = _generator(n_permutations, "permutations", seed, rng)
     observed = total_variation_distance(va, vb)
-    pooled = (va + vb).astype(np.int64)
-    na = int(va.sum())
-    # Draw `na` observations without replacement from the pooled counts.
-    draws = rng.multivariate_hypergeometric(pooled, na, size=n_permutations)
-    rest = pooled[None, :] - draws
-    pa = draws / na
-    pb = rest / rest.sum(axis=1, keepdims=True)
-    tvd = 0.5 * np.abs(pa - pb).sum(axis=1)
-    # Add-one smoothing keeps the p-value a valid permutation p-value.
-    p_value = (1.0 + (tvd >= observed - 1e-12).sum()) / (n_permutations + 1.0)
-    return TestResult(observed, float(p_value), 0, "permutation TVD")
+    exceed = tvd_exceedances(rng, n_permutations, va, vb, observed)
+    return TestResult(observed, p_value(exceed, n_permutations), 0, "permutation TVD")
 
 
 def permutation_mean_test(
@@ -248,40 +318,14 @@ def permutation_mean_test(
     (:func:`repro.obs.compare_runs`): per-stage duration samples from two
     windows of runs are exchangeable under the null hypothesis of "no
     perf change", so the reference distribution of ``mean(b) - mean(a)``
-    is built by reshuffling the pooled observations into two groups of
-    the original sizes (fully vectorized: one permuted matrix).  The
-    p-value is two-sided with add-one smoothing.
+    is built by :func:`mean_exceedances`.  The p-value is two-sided with
+    add-one smoothing; when every observation is equal it is exactly 1.
 
     Each sample needs >= 2 observations; with fewer there is no
     within-group variance to test against (:class:`StatsError`).
     """
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.size < 2 or vb.size < 2:
-        raise StatsError("each sample needs >= 2 observations")
-    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
-        raise StatsError("samples must be finite")
-    if n_permutations < 100:
-        raise StatsError("need at least 100 permutations")
-    if rng is not None and seed is not None:
-        raise StatsError("provide either seed or rng, not both")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    va, vb = finite_sample(a, "a"), finite_sample(b, "b")
+    rng = _generator(n_permutations, "permutations", seed, rng)
     observed = float(vb.mean() - va.mean())
-    pooled = np.concatenate([va, vb])
-    if np.ptp(pooled) == 0.0:
-        # All observations identical: no variability, no evidence of change.
-        return TestResult(observed, 1.0, 0, "permutation mean")
-    # Permute tiled index rows in place — O(R·n) and integer-sized, versus
-    # argsort over an R×n float matrix (O(R·n·log n) plus 8n bytes/row).
-    idx = rng.permuted(
-        np.tile(np.arange(pooled.size), (n_permutations, 1)), axis=1
-    )
-    shuffled = pooled[idx]
-    mean_a = shuffled[:, : va.size].mean(axis=1)
-    mean_b = shuffled[:, va.size :].mean(axis=1)
-    deltas = np.abs(mean_b - mean_a)
-    p_value = (1.0 + (deltas >= abs(observed) - 1e-15).sum()) / (
-        n_permutations + 1.0
-    )
-    return TestResult(observed, float(p_value), 0, "permutation mean")
+    exceed = mean_exceedances(rng, n_permutations, va, vb, observed)
+    return TestResult(observed, p_value(exceed, n_permutations), 0, "permutation mean")

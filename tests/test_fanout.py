@@ -10,9 +10,6 @@ from repro.stats import (
     StatCell,
     StatSpec,
     StatTask,
-    adaptive_bootstrap_share_ci,
-    adaptive_permutation_mean_test,
-    adaptive_permutation_tvd_test,
     run_stat_sweep,
     share_ci_tasks,
 )
@@ -63,6 +60,16 @@ class TestStatTaskValidation:
         with pytest.raises(StatsError):
             StatTask(name="x", kind="permutation_mean",
                      a=(1.0, float("nan")), b=(2.0, 3.0))
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="bootstrap_share", counts=(2.7, 3.2)),
+        dict(kind="permutation_tvd", a=(2.5, 3.0), b=(1.0, 2.0)),
+        dict(kind="permutation_tvd", a=(2.0, 3.0), b=(1.0, float("inf"))),
+    ], ids=["bootstrap", "tvd", "tvd-infinite"])
+    def test_counts_must_be_whole(self, fields):
+        # Truncating (2.7, 3.2) to (2, 3) would estimate another table.
+        with pytest.raises(StatsError, match="whole numbers"):
+            StatTask(name="x", **fields)
 
     def test_counts_accept_frequency_table(self):
         table = FrequencyTable.from_observations(["a"] * 3 + ["b"] * 7)
@@ -285,17 +292,30 @@ class TestFrontDoors:
         shares = [cell.estimate["share"] for cell in result.cells]
         assert sum(shares) == pytest.approx(1.0)
 
+    @staticmethod
+    def adaptive(task, *, target_se, max_draws, seed):
+        """One task run adaptively: draws stop at *target_se*, capped at
+        *max_draws*, in rounds of 1,000."""
+        spec = StatSpec(tasks=(task,), seed=seed, draws=max_draws,
+                        round_size=1_000, target_se=target_se,
+                        max_draws=max_draws)
+        return run_stat_sweep(spec).cells[0]
+
     def test_adaptive_bootstrap_share_ci(self):
-        cell = adaptive_bootstrap_share_ci(COUNTS, 0, target_se=2e-3,
-                                           max_draws=50_000, seed=5)
+        cell = self.adaptive(
+            StatTask(name="bootstrap_share:0", kind="bootstrap_share",
+                     counts=COUNTS, label_index=0),
+            target_se=2e-3, max_draws=50_000, seed=5,
+        )
         assert cell.kind == "bootstrap_share"
         assert cell.estimate["low"] < cell.estimate["share"]
         assert cell.estimate["share"] < cell.estimate["high"]
         assert cell.draws < 50_000
 
     def test_adaptive_permutation_tvd(self):
-        cell = adaptive_permutation_tvd_test(
-            (300, 50, 20), (100, 150, 90),
+        cell = self.adaptive(
+            StatTask(name="permutation_tvd", kind="permutation_tvd",
+                     a=(300, 50, 20), b=(100, 150, 90)),
             target_se=5e-3, max_draws=20_000, seed=5,
         )
         assert cell.estimate["p_value"] < 0.01
@@ -304,8 +324,10 @@ class TestFrontDoors:
         rng = np.random.default_rng(5)
         a = rng.normal(0.0, 1.0, size=40)
         b = rng.normal(0.05, 1.0, size=40)  # nearly identical means
-        cell = adaptive_permutation_mean_test(
-            a, b, target_se=1e-2, max_draws=20_000, seed=5
+        cell = self.adaptive(
+            StatTask(name="permutation_mean", kind="permutation_mean",
+                     a=tuple(a), b=tuple(b)),
+            target_se=1e-2, max_draws=20_000, seed=5,
         )
         assert cell.estimate["p_value"] > 0.05
 

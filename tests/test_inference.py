@@ -101,6 +101,13 @@ class TestBootstrap:
         with pytest.raises(StatsError):
             bootstrap_share_ci([1, 2], 0, n_resamples=10)
 
+    def test_non_integer_counts_rejected(self):
+        # Shares of (2.7, 3.2) summed to 1.18 in the multinomial draw,
+        # which put the excess on the last category: a wrong interval.
+        with pytest.raises(StatsError, match="whole numbers"):
+            bootstrap_share_ci((2.7, 3.2), 0, seed=1)
+        assert bootstrap_share_ci((2.0, 3.0), 0, seed=1, n_resamples=200)
+
     def test_seed_and_rng_mutually_exclusive(self):
         with pytest.raises(StatsError, match="not both"):
             bootstrap_share_ci([3, 7], 1, seed=0,
@@ -150,6 +157,15 @@ class TestTvdAndPermutation:
         result = permutation_tvd_test([3, 7], [5, 5], rng=rng,
                                       n_permutations=200)
         assert result.method == "permutation TVD"
+
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(StatsError, match="whole numbers"):
+            permutation_tvd_test([2.5, 3.0], [1.0, 2.0], seed=0)
+        # The distance itself and the count-based tests take any
+        # non-negative weights.
+        assert total_variation_distance([2.5, 3.0], [1.0, 2.0]) > 0
+        assert chi_square_gof([2.7, 3.2]).p_value > 0.5
+        assert chi_square_homogeneity([2.5, 3.0], [1.0, 2.0]).p_value > 0.5
 
     def test_seed_and_rng_mutually_exclusive(self):
         with pytest.raises(StatsError, match="not both"):

@@ -5,6 +5,7 @@ public module must import cleanly, public callables must be documented,
 and the doctest examples embedded in docstrings must actually run.
 """
 
+import ast
 import doctest
 import importlib
 import inspect
@@ -248,3 +249,54 @@ def test_cli_has_no_parallel_option(capsys):
         main(["replicate", "--parallel"])
     assert exit_info.value.code == 2
     assert "--parallel" in capsys.readouterr().err
+
+
+#: ``Generator`` methods that draw random numbers.
+DRAW_METHODS = {
+    "multinomial",
+    "multivariate_hypergeometric",
+    "permuted",
+    "integers",
+    "random",
+}
+
+
+def _method_calls(module_name, methods):
+    """``(method, line)`` of every ``x.method(...)`` call in the module's
+    code; docstrings and comments do not count."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    return [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+    ]
+
+
+def test_stat_fanout_draws_only_through_inference_kernels():
+    calls = _method_calls("repro.stats.fanout", DRAW_METHODS)
+    assert not calls, f"repro.stats.fanout draws directly: {calls}"
+    fanout = importlib.import_module("repro.stats.fanout")
+    copies = {"_counts_tuple", "_sample_tuple", "_single", "_run_round"}
+    assert not copies & set(vars(fanout))
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_randomized_test_draws_live_in_inference(module_name):
+    # Each randomized test's draw call exists once, in its kernel.
+    kernel_draws = {"multinomial", "multivariate_hypergeometric", "permuted"}
+    methods = sorted(m for m, _ in _method_calls(module_name, kernel_draws))
+    if module_name == "repro.stats.inference":
+        assert methods == sorted(kernel_draws)
+    else:
+        assert not methods, f"{module_name} draws {methods}"
+
+
+def test_stats_exports_no_adaptive_front_doors():
+    import repro.stats
+    import repro.stats.fanout
+
+    for module in (repro.stats, repro.stats.fanout):
+        names = set(module.__all__) | set(vars(module))
+        assert not {n for n in names if n.startswith("adaptive_")}
