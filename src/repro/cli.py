@@ -57,6 +57,7 @@ import sys
 from pathlib import Path
 
 from repro import __version__
+from repro import sweep_params
 
 __all__ = ["main", "build_parser"]
 
@@ -71,6 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_runs_dir(command: argparse.ArgumentParser) -> None:
+        command.add_argument(
+            "--runs-dir", type=Path, default=None, metavar="DIR",
+            help="run-ledger directory (default: $REPRO_RUNS_DIR or "
+                 "~/.cache/repro/runs)",
+        )
 
     def add_pipeline_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
@@ -107,11 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
              "run ledger for `repro runs compare` (implies telemetry "
              "recording)",
     )
-    replicate.add_argument(
-        "--runs-dir", type=Path, default=None, metavar="DIR",
-        help="run-ledger directory (default: $REPRO_RUNS_DIR or "
-             "~/.cache/repro/runs)",
-    )
+    add_runs_dir(replicate)
 
     sub.add_parser("report", help="print the markdown study report")
 
@@ -158,38 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "workflow fleet. Results are bit-identical for a "
                     "given --seed regardless of --workers.",
     )
-    sweep.add_argument(
-        "--grid", default="scheduler=heft", metavar="SPEC",
-        help="grid axes as 'key=v1,v2;key=v1' with keys scheduler "
-             "(heft|energy|round_robin), mtbf (floats or 'none'), jitter "
-             "(floats), policy (restart|migrate); omitted axes default "
-             "to scheduler=heft;mtbf=none;jitter=0;policy=restart",
-    )
-    sweep.add_argument(
-        "--fleet", type=int, default=3, metavar="N",
-        help="synthetic workflows in the fleet (default 3)",
-    )
-    sweep.add_argument(
-        "--replications", type=int, default=100, metavar="R",
-        help="Monte-Carlo replications per grid cell (default 100)",
-    )
-    sweep.add_argument(
-        "--target-ci", type=float, default=None, metavar="CI",
-        help="adaptive mode: stop each cell once the 95%% confidence "
-             "half-width of its mean makespan is within CI (relative, "
-             "e.g. 0.02 = 2%%) instead of running a fixed count; noisy "
-             "cells run up to --max-replications",
-    )
-    sweep.add_argument(
-        "--max-replications", type=int, default=None, metavar="R",
-        help="replication cap per cell in adaptive mode "
-             "(default: --replications; requires --target-ci)",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=0, metavar="W",
-        help="worker processes (default 0 = serial; same results either way)",
-    )
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep_params.add_options(sweep)
     sweep.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
         help="write the full per-cell aggregation as JSON",
@@ -208,11 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append this sweep (cell digests, replication counters) to "
              "the run ledger (implies telemetry recording)",
     )
-    sweep.add_argument(
-        "--runs-dir", type=Path, default=None, metavar="DIR",
-        help="run-ledger directory (default: $REPRO_RUNS_DIR or "
-             "~/.cache/repro/runs)",
-    )
+    add_runs_dir(sweep)
 
     serve = sub.add_parser(
         "serve",
@@ -260,11 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="append every completed sweep job to the run ledger, "
              "exactly like `repro sweep --record`",
     )
-    serve.add_argument(
-        "--runs-dir", type=Path, default=None, metavar="DIR",
-        help="run-ledger directory (default: $REPRO_RUNS_DIR or "
-             "~/.cache/repro/runs)",
-    )
+    add_runs_dir(serve)
     serve.add_argument("--seed", type=int, default=2023,
                        help="study seed for the /study/* endpoints")
 
@@ -289,11 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="append this operation (key digests, corpus counters) "
                  "to the run ledger (implies telemetry recording)",
         )
-        command.add_argument(
-            "--runs-dir", type=Path, default=None, metavar="DIR",
-            help="run-ledger directory (default: $REPRO_RUNS_DIR or "
-                 "~/.cache/repro/runs)",
-        )
+        add_runs_dir(command)
 
     corpus_ingest = corpus_sub.add_parser(
         "ingest", help="stream BibTeX files into the store"
@@ -358,13 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "`repro replicate --record`.",
     )
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
-
-    def add_runs_dir(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--runs-dir", type=Path, default=None, metavar="DIR",
-            help="run-ledger directory (default: $REPRO_RUNS_DIR or "
-                 "~/.cache/repro/runs)",
-        )
 
     runs_list = runs_sub.add_parser("list", help="list recorded runs")
     add_runs_dir(runs_list)
@@ -448,22 +402,28 @@ def _resolve_cache(args: argparse.Namespace):
     return process_cache()
 
 
+def _recording(args: argparse.Namespace):
+    """``(telemetry, registry)`` for ``--record``, else ``(None, None)``."""
+    if not getattr(args, "record", False):
+        return None, None
+    from repro.obs import RunRegistry
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    return telemetry, RunRegistry(args.runs_dir, logger=telemetry.log)
+
+
 def _cmd_replicate(args: argparse.Namespace) -> int:
     from repro import workflow_directions
     from repro.pipeline.study import render_icsc_artifacts, run_icsc_pipeline
     from repro.reporting import study_report
     from repro.viz import ascii_distribution
 
-    telemetry = None
-    if args.profile or args.trace_out is not None or args.record:
+    telemetry, registry = _recording(args)
+    if telemetry is None and (args.profile or args.trace_out is not None):
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-    registry = None
-    if args.record:
-        from repro.obs import RunRegistry
-
-        registry = RunRegistry(args.runs_dir, logger=telemetry.log)
     cache = _resolve_cache(args)
     results, run = run_icsc_pipeline(
         seed=args.seed, cache=cache, telemetry=telemetry, registry=registry,
@@ -642,30 +602,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.continuum import build_sweep_spec, run_sweep
     from repro.pipeline import ArtifactCache
 
-    telemetry = None
-    registry = None
-    if args.record:
-        from repro.obs import RunRegistry
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-        registry = RunRegistry(args.runs_dir, logger=telemetry.log)
+    # The same validator and spec builder POST /sweeps uses, so an HTTP
+    # sweep and a CLI sweep with the same arguments are bit-identical.
+    request = sweep_params.check_request(
+        {param.name: getattr(args, param.name)
+         for param in sweep_params.SWEEP_PARAMS}
+    )
+    workers = request.pop("workers")
+    spec = build_sweep_spec(**request)
+    telemetry, registry = _recording(args)
     cache = None
     if not args.no_cache:
         cache = ArtifactCache(args.cache_dir, telemetry=telemetry)
-
-    # The same spec builder POST /sweeps uses, so an HTTP sweep and a
-    # CLI sweep with the same arguments are bit-identical.
-    spec = build_sweep_spec(
-        grid=args.grid,
-        fleet=args.fleet,
-        replications=args.replications,
-        seed=args.seed,
-        target_ci=args.target_ci,
-        max_replications=args.max_replications,
-    )
     result = run_sweep(
-        spec, workers=args.workers, cache=cache,
+        spec, workers=workers, cache=cache,
         telemetry=telemetry, registry=registry,
     )
 
@@ -711,7 +661,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServerHandle, build_context, serve_forever
+    import time
+
+    from repro.serve import ServerHandle, build_context
 
     ctx = build_context(
         cache_dir=args.cache_dir,
@@ -722,43 +674,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_workers=args.job_workers,
         queue_size=args.queue_size,
     )
-    if args.port == 0:
-        # Ephemeral port: print where we landed before blocking.
-        handle = ServerHandle(
-            ctx, host=args.host, port=0, workers=args.workers
-        )
-        print(f"serving on {handle.url} (Ctrl-C to stop)", flush=True)
-        try:
-            import time as _time
-
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            handle.close()
-        return 0
-    print(
-        f"serving on http://{args.host}:{args.port} (Ctrl-C to stop)",
-        flush=True,
-    )
-    serve_forever(
+    handle = ServerHandle(
         ctx, host=args.host, port=args.port, workers=args.workers
     )
+    # Printed once bound, so the line names the real (maybe ephemeral)
+    # port and only ever appears for a server that is listening.
+    print(f"serving on {handle.url} (Ctrl-C to stop)", flush=True)
+    try:
+        while True:
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        handle.close()
     return 0
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.corpus.store import CorpusStore
+    from repro.errors import CorpusError, CorpusStoreError
 
-    telemetry = None
-    registry = None
-    if getattr(args, "record", False):
-        from repro.obs import RunRegistry
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry()
-        registry = RunRegistry(args.runs_dir, logger=telemetry.log)
+    telemetry, registry = _recording(args)
 
     def record_operation(store: CorpusStore, operation: str, summary) -> None:
         if registry is None:
@@ -776,8 +712,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.corpus_command != "ingest" and not args.store.exists():
         # Only ingest may create a store; a query/dedup/stats typo must
         # not silently materialize an empty database and report it.
-        from repro.errors import CorpusStoreError
-
         raise CorpusStoreError(f"no corpus store at '{args.store}'")
 
     with CorpusStore(args.store, telemetry=telemetry) as store:
@@ -805,6 +739,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return 0
 
         if args.corpus_command == "query":
+            if args.limit < 0:
+                raise CorpusError("--limit must be >= 0 (0 = all)")
             hits = store.search(args.query)
             shown = hits if args.limit == 0 else hits[: args.limit]
             if args.keys_only:

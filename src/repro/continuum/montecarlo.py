@@ -82,7 +82,7 @@ equivalent scalar sequence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import ne
 from typing import Any, Mapping
 
@@ -107,6 +107,7 @@ from repro.stats.rounds import (
     run_rounds,
 )
 from repro.stats.sketch import QuantileSketch
+from repro.sweep_params import SPEC_PARAMS, check_request
 
 __all__ = [
     "ENGINE_VERSION",
@@ -845,11 +846,25 @@ class SweepSpec:
                 )
         if not self.mtbfs or not self.jitters or not self.policies:
             raise MonteCarloError("mtbfs, jitters, and policies must be non-empty")
-        cell_ids = [cell.cell_id for cell in self.cells()]
-        if len(set(cell_ids)) != len(cell_ids):
+        # Each axis is checked once, with the other axes at their first
+        # value, so the cost is the sum of the axis lengths, not their
+        # product.  A cell_id joins one label per axis, so per-axis
+        # label uniqueness is cell_id uniqueness.
+        base = CellSpec(names[0], self.schedulers[0], self.mtbfs[0],
+                        self.jitters[0], self.policies[0])
+        axes = [
+            [replace(base, **{name: value}) for value in values]
+            for name, values in (
+                ("scheduler", self.schedulers), ("mtbf", self.mtbfs),
+                ("jitter", self.jitters), ("policy", self.policies),
+            )
+        ]
+        if any(len({cell.cell_id for cell in axis}) != len(axis)
+               for axis in axes):
             raise MonteCarloError("grid axes must not repeat a value")
-        if self.replications < 1:
-            raise MonteCarloError("replications must be >= 1")
+        check_request({"replications": self.replications, "seed": self.seed,
+                       "max_replications": self.max_replications},
+                      SPEC_PARAMS)
         if self.chunk_size < 1:
             raise MonteCarloError("chunk_size must be >= 1")
         if self.primary_metric not in METRIC_NAMES:
@@ -869,16 +884,13 @@ class SweepSpec:
                     "max_replications requires target_ci (a fixed sweep "
                     "sizes itself with replications)"
                 )
-            if self.max_replications < 1:
-                raise MonteCarloError("max_replications must be >= 1")
-        for mtbf in self.mtbfs:
-            for jitter in self.jitters:
-                for policy in self.policies:
-                    _validate_cell_params(
-                        mtbf=mtbf, repair_time=self.repair_time,
-                        policy=policy, jitter=jitter,
-                        max_attempts=self.max_attempts,
-                    )
+        for axis in axes:
+            for cell in axis:
+                _validate_cell_params(
+                    mtbf=cell.mtbf, repair_time=self.repair_time,
+                    policy=cell.policy, jitter=cell.jitter,
+                    max_attempts=self.max_attempts,
+                )
 
     @property
     def adaptive(self) -> bool:
@@ -979,16 +991,9 @@ def parse_grid(text: str) -> dict[str, tuple]:
     return axes
 
 
-def build_sweep_spec(
-    *,
-    grid: str = "scheduler=heft",
-    fleet: int = 3,
-    replications: int = 100,
-    seed: int = 0,
-    target_ci: float | None = None,
-    max_replications: int | None = None,
-) -> SweepSpec:
-    """The canonical :class:`SweepSpec` for a sweep *request*.
+def build_sweep_spec(**request: Any) -> SweepSpec:
+    """The canonical :class:`SweepSpec` for a sweep *request*, whose
+    keywords are :data:`repro.sweep_params.SPEC_PARAMS`.
 
     Both front doors — ``repro sweep`` and the serve layer's
     ``POST /sweeps`` — build their spec through this one function, so an
@@ -996,22 +1001,18 @@ def build_sweep_spec(
     same per-cell entropy, hence the same cache keys and ledger record)
     to the CLI sweep with the same arguments.  ``target_ci`` switches
     the sweep to adaptive sequential stopping (``max_replications``
-    caps it; default: ``replications``) — invalid combinations raise
+    caps it; default: ``replications``) — invalid requests raise
     :class:`~repro.errors.MonteCarloError` here, before any work runs.
     """
     from repro.continuum.resources import default_continuum
     from repro.data import synthetic_workflows
 
-    if fleet < 1:
-        raise MonteCarloError("fleet must be >= 1")
+    request = check_request(request, SPEC_PARAMS)
+    fleet, seed = request.pop("fleet"), request["seed"]
     return SweepSpec(
         workflows=synthetic_workflows(fleet, seed=seed),
         continuum=default_continuum(seed=seed),
-        replications=replications,
-        seed=seed,
-        target_ci=target_ci,
-        max_replications=max_replications,
-        **parse_grid(grid),
+        **parse_grid(request.pop("grid")), **request,
     )
 
 

@@ -208,3 +208,6 @@ class JobQueueFullError(ServeError):
 
 class UnknownJobError(ServeError, KeyError):
     """A job id was not found in the job queue (HTTP 404)."""
+
+    # KeyError's str() quotes its argument; this one is a message.
+    __str__ = Exception.__str__

@@ -39,7 +39,6 @@ from repro.serve.app import (
     PooledHTTPServer,
     ServeApp,
     ServerHandle,
-    serve_forever,
 )
 from repro.serve.coalesce import SingleFlight
 from repro.serve.handlers import (
@@ -68,7 +67,6 @@ __all__ = [
     "build_context",
     "build_router",
     "run_sweep_job",
-    "serve_forever",
     "study_payloads",
 ]
 

@@ -39,7 +39,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import ServeError
 from repro.serve.handlers import ServeContext, build_router, status_for
 
-__all__ = ["ServeApp", "PooledHTTPServer", "ServerHandle", "serve_forever"]
+__all__ = ["ServeApp", "PooledHTTPServer", "ServerHandle"]
 
 _MAX_BODY_BYTES = 1 << 20  # sweeps specs are tiny; reject anything huge
 # Seconds a keep-alive connection may sit idle before its worker closes
@@ -113,8 +113,17 @@ class ServeApp:
             return None, None
         try:
             return json.loads(body_bytes.decode("utf-8")), None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8 or JSON, or an int over the digit
+            # limit; RecursionError: nesting too deep.
             return None, f"request body is not valid JSON: {exc}"
+
+    def refuse(self, method: str, target: str, status: int,
+               error: str) -> bytes:
+        """The JSON body for a request the socket shell turned away
+        before reading its body, observed like any dispatched one."""
+        self._observe("refused", method, urlsplit(target).path, status, 0.0)
+        return (json.dumps({"error": error}) + "\n").encode("utf-8")
 
     def _observe(
         self, name: str, method: str, path: str, status: int, elapsed: float
@@ -147,14 +156,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            body = b'{"error": "request body too large"}\n'
-            status = 413
-        else:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if 0 <= length <= _MAX_BODY_BYTES:
             payload = self.rfile.read(length) if length else None
             status, body = app.dispatch(self.command, self.path, payload)
+        else:
+            status = 400 if length < 0 else 413
+            body = app.refuse(
+                self.command, self.path, status,
+                "bad Content-Length" if length < 0
+                else "request body too large",
+            )
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -317,20 +338,3 @@ class ServerHandle:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def serve_forever(
-    ctx: ServeContext,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    workers: int = 16,
-) -> None:
-    """Run the server in the foreground until interrupted (the CLI path)."""
-    handle = ServerHandle(ctx, host=host, port=port, workers=workers)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        handle.close()

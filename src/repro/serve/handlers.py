@@ -17,7 +17,6 @@ it).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -33,6 +32,7 @@ from repro.errors import (
 from repro.pipeline.cache import ArtifactCache, stable_digest
 from repro.serve.coalesce import SingleFlight
 from repro.serve.jobs import Job, JobQueue
+from repro.sweep_params import check_request
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -215,7 +215,9 @@ def corpus_query(
     try:
         limit = int(query.get("limit", ["50"])[0])
     except ValueError:
-        return 400, {"error": "limit must be an integer"}
+        limit = -1
+    if limit < 0:
+        return 400, {"error": "limit must be an integer >= 0 (0 = all)"}
     try:
         with ctx.store_lock:
             hits = ctx.store.search(terms)
@@ -231,7 +233,7 @@ def corpus_query(
                 "year": pub.year,
                 "venue": pub.venue,
             }
-            for pub in hits[: max(limit, 0)]
+            for pub in (hits[:limit] if limit else hits)
         ],
     }
 
@@ -253,99 +255,25 @@ def corpus_stats(
     return 200, stats
 
 
-def corpus_by_year(
+def corpus_series(
     ctx: ServeContext,
     params: dict[str, str],
     query: dict[str, list[str]],
     body: Any,
 ) -> tuple[int, Any]:
-    """``GET /corpus/by_year`` — SQL-aggregated publications per year."""
+    """``GET /corpus/by_year`` and ``/corpus/by_venue`` — SQL-aggregated
+    publications per year or venue."""
     unavailable = _need_store(ctx)
     if unavailable is not None:
         return unavailable
     try:
         with ctx.store_lock:
-            return 200, _series(ctx.store.by_year())
-    except CorpusError as exc:
-        return 409, {"error": str(exc)}
-
-
-def corpus_by_venue(
-    ctx: ServeContext,
-    params: dict[str, str],
-    query: dict[str, list[str]],
-    body: Any,
-) -> tuple[int, Any]:
-    """``GET /corpus/by_venue`` — SQL-aggregated publications per venue."""
-    unavailable = _need_store(ctx)
-    if unavailable is not None:
-        return unavailable
-    try:
-        with ctx.store_lock:
-            return 200, _series(ctx.store.by_venue())
+            return 200, _series(getattr(ctx.store, params["aggregate"])())
     except CorpusError as exc:
         return 409, {"error": str(exc)}
 
 
 # -- sweep jobs -------------------------------------------------------------------
-
-#: ``POST /sweeps`` body fields → (type, default).  The same defaults as
-#: ``repro sweep`` on the CLI, because both feed
-#: :func:`repro.continuum.build_sweep_spec`.
-_SWEEP_FIELDS = {
-    "grid": (str, "scheduler=heft"),
-    "fleet": (int, 3),
-    "replications": (int, 100),
-    "seed": (int, 0),
-    "workers": (int, 0),
-    # Adaptive sequential stopping: both default to None (fixed mode).
-    # Invalid combinations (max_replications without target_ci, a
-    # non-positive target_ci) are rejected by build_sweep_spec while the
-    # client is still on the line — a 400, never a failed job.
-    "target_ci": (float, None),
-    "max_replications": (int, None),
-}
-
-
-def _sweep_payload(body: Any) -> dict[str, Any]:
-    """Validate and normalize a ``POST /sweeps`` body.
-
-    Raises :class:`~repro.errors.MonteCarloError` on shape errors so the
-    dispatcher maps them to 400 alongside bad grid specs.
-    """
-    if not isinstance(body, dict):
-        raise MonteCarloError("request body must be a JSON object")
-    unknown = sorted(set(body) - set(_SWEEP_FIELDS))
-    if unknown:
-        raise MonteCarloError(f"unknown sweep field(s): {', '.join(unknown)}")
-    payload: dict[str, Any] = {}
-    for name, (kind, default) in _SWEEP_FIELDS.items():
-        value = body.get(name, default)
-        if value is None and default is None:
-            payload[name] = None
-            continue
-        if kind is float and isinstance(value, int) and not isinstance(
-            value, bool
-        ):
-            value = float(value)
-        if (kind is not str and isinstance(value, bool)) or not isinstance(
-            value, kind
-        ):
-            raise MonteCarloError(
-                f"sweep field {name!r} must be {kind.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        payload[name] = value
-    # Each sweep worker is a forked process, all started up front: the
-    # client may not ask for more than the host has cores.
-    cores = os.cpu_count() or 1
-    if not 0 <= payload["workers"] <= cores:
-        raise MonteCarloError(
-            f"sweep field 'workers' must be in [0, {cores}], "
-            f"got {payload['workers']}"
-        )
-    return payload
-
 
 def run_sweep_job(job: Job, ctx: ServeContext) -> dict[str, Any]:
     """Execute one queued sweep — the :class:`JobQueue` worker function.
@@ -358,18 +286,11 @@ def run_sweep_job(job: Job, ctx: ServeContext) -> dict[str, Any]:
     """
     from repro.continuum import build_sweep_spec, run_sweep
 
-    payload = job.payload
-    spec = build_sweep_spec(
-        grid=payload["grid"],
-        fleet=payload["fleet"],
-        replications=payload["replications"],
-        seed=payload["seed"],
-        target_ci=payload.get("target_ci"),
-        max_replications=payload.get("max_replications"),
-    )
+    request = dict(job.payload)
+    workers = request.pop("workers")
     result = run_sweep(
-        spec,
-        workers=payload["workers"],
+        build_sweep_spec(**request),
+        workers=workers,
         cache=ctx.cache,
         telemetry=ctx.telemetry,
         registry=ctx.registry,
@@ -390,19 +311,16 @@ def sweeps_post(
     """
     from repro.continuum import build_sweep_spec
 
-    payload = _sweep_payload(body)
+    request = check_request(body)
     # Validate the whole spec now, while the client is still on the
     # line: a bad grid or adaptive combination must be a 400 here, not
-    # a failed job later.
-    build_sweep_spec(
-        grid=payload["grid"],
-        fleet=payload["fleet"],
-        replications=payload["replications"],
-        seed=payload["seed"],
-        target_ci=payload["target_ci"],
-        max_replications=payload["max_replications"],
-    )
-    job = ctx.jobs.submit(payload)
+    # a failed job later.  No spec check depends on the fleet size, so
+    # a one-workflow fleet keeps this thread's cost bounded by the
+    # body's bytes; the job builds the real fleet.
+    probe = dict(request, fleet=1)
+    del probe["workers"]
+    build_sweep_spec(**probe)
+    job = ctx.jobs.submit(request)
     return 202, job.to_dict()
 
 
@@ -494,12 +412,9 @@ def build_router(ctx: ServeContext):
     )
     router.add("GET", r"/corpus/query", "corpus_query", bind(corpus_query))
     router.add("GET", r"/corpus/stats", "corpus_stats", bind(corpus_stats))
-    router.add(
-        "GET", r"/corpus/by_year", "corpus_by_year", bind(corpus_by_year)
-    )
-    router.add(
-        "GET", r"/corpus/by_venue", "corpus_by_venue", bind(corpus_by_venue)
-    )
+    for aggregate in ("by_year", "by_venue"):
+        router.add("GET", rf"/corpus/(?P<aggregate>{aggregate})",
+                   f"corpus_{aggregate}", bind(corpus_series))
     router.add("POST", r"/sweeps", "sweeps_post", bind(sweeps_post))
     router.add("GET", r"/jobs", "jobs_list", bind(jobs_list))
     router.add("GET", r"/jobs/(?P<job_id>[^/]+)", "jobs_get", bind(jobs_get))

@@ -469,6 +469,20 @@ class TestCorpus:
         ) == 0
         assert capsys.readouterr().out.strip() == "k2"
 
+    def test_query_negative_limit_errors(self, tmp_path, capsys):
+        # The same bound as GET /corpus/query: 0 is "all", below 0 an
+        # error (it used to drop the last |limit| matches).
+        bib = self._write_bib(tmp_path)
+        store = tmp_path / "corpus.db"
+        main(["corpus", "ingest", str(bib), "--store", str(store),
+              "--lenient", "--on-collision", "suffix"])
+        capsys.readouterr()
+        assert main(
+            ["corpus", "query", "workflow*", "--store", str(store),
+             "--limit", "-1"]
+        ) == 1
+        assert "--limit must be >= 0" in capsys.readouterr().err
+
     def test_strict_ingest_fails_on_bad_entry(self, tmp_path, capsys):
         bib = self._write_bib(tmp_path)
         store = tmp_path / "corpus.db"

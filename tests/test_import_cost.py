@@ -27,3 +27,21 @@ def test_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_parser_leaves_continuum_unloaded():
+    """Every ``repro serve`` boot builds the parser, and the sweep options
+    it derives from :mod:`repro.sweep_params` must not drag the
+    simulators in with them."""
+    code = (
+        "import sys, repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'repro.continuum' or m.startswith('repro.continuum.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=example_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

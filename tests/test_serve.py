@@ -657,6 +657,138 @@ class TestServerHandle:
         )
 
 
+def raw_exchange(handle, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes and read until the server closes."""
+    with socket.create_connection(
+        (handle.host, handle.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """Requests the server used to drop without an answer: each now gets
+    a 4xx over the socket and an access-log entry."""
+
+    @pytest.mark.parametrize("headers, body, status", [
+        (b"Content-Length: 50000\r\n", b"[" * 50000, 400),
+        (b"Content-Length: abc\r\n", b"", 400),
+        (b"Content-Length: -3\r\n", b"{}", 400),
+        (b"Content-Length: 2000000\r\n", b"", 413),
+    ], ids=["deep-nesting", "non-numeric-length", "negative-length",
+            "too-large"])
+    def test_answered_and_logged(self, ctx, headers, body, status):
+        with ServerHandle(ctx, workers=2) as handle:
+            answer = raw_exchange(
+                handle,
+                b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n" + headers + b"\r\n" + body,
+            )
+        assert answer[0] == status
+        assert "error" in answer[1]
+        access = [
+            e.fields for e in ctx.telemetry.log.events()
+            if e.event == "serve.access"
+        ]
+        assert [(a["path"], a["status"]) for a in access] == [
+            ("/sweeps", status)
+        ]
+        snapshot = ctx.telemetry.metrics.snapshot()
+        assert "serve.handler_errors" not in snapshot
+
+    def test_int_past_the_digit_limit_is_400(self, app):
+        # json.loads raises a plain ValueError, not JSONDecodeError.
+        status, raw = app.dispatch(
+            "POST", "/sweeps", b'{"fleet": ' + b"1" * 5000 + b"}"
+        )
+        assert status == 400
+        assert "not valid JSON" in json.loads(raw)["error"]
+
+    def test_unknown_job_message_is_plain(self, app):
+        status, payload = dispatch(app, "GET", "/jobs/zz")
+        assert (status, payload) == (404, {"error": "unknown job 'zz'"})
+
+
+class TestCorpusQueryLimit:
+    """``limit`` means what ``repro corpus query --limit`` means."""
+
+    @pytest.fixture
+    def corpus_app(self, tmp_path, ctx):
+        from repro.corpus.store import CorpusStore
+        from repro.data.bibliography import paper_bibliography
+
+        ctx.store = CorpusStore(tmp_path / "corpus.db", threadsafe=True)
+        ctx.store.extend(list(paper_bibliography()))
+        yield ServeApp(ctx)
+        ctx.store.close()
+
+    def test_zero_returns_every_hit(self, corpus_app):
+        status, hits = dispatch(
+            corpus_app, "GET", "/corpus/query?q=c*&limit=0"
+        )
+        assert status == 200
+        assert len(hits["results"]) == hits["count"] > 20
+
+    def test_negative_is_400(self, corpus_app):
+        status, payload = dispatch(
+            corpus_app, "GET", "/corpus/query?q=workflow&limit=-1"
+        )
+        assert status == 400
+        assert "limit" in payload["error"]
+
+    def test_default_stays_50(self, corpus_app):
+        status, hits = dispatch(corpus_app, "GET", "/corpus/query?q=c*")
+        assert status == 200
+        assert len(hits["results"]) == min(50, hits["count"])
+
+
+class TestServeCommand:
+    """``repro serve`` binds, then prints its URL, on one start-up path."""
+
+    @staticmethod
+    def start(*argv):
+        import subprocess
+        import sys
+
+        from tests.test_examples import example_env
+
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=example_env(),
+        )
+
+    def test_ephemeral_port_prints_url_then_serves(self):
+        import signal
+
+        proc = self.start("--port", "0", "--workers", "2")
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://127.0.0.1:")
+            assert line.endswith(" (Ctrl-C to stop)\n")
+            url = line.split()[2]
+            assert get_json(url + "/health")[0] == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+
+    def test_port_in_use_fails_before_printing(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            proc = self.start("--port", str(taken.getsockname()[1]))
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "serving on" not in out
+        assert err.startswith("error: ")
+
+
 class TestSweepJobs:
     def test_http_sweep_bit_identical_to_cli_path_and_ledgered(
         self, tmp_path
