@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import repro.data
 import repro.stats.rounds
 from repro.cli import build_parser, main
-from repro.continuum import SweepSpec
+from repro.continuum import SweepSpec, default_continuum
 from repro.corpus.bibtex import publications_from_bibtex
 from repro.errors import BibTeXError, MonteCarloError
 from repro.pipeline.cache import ArtifactCache
@@ -37,8 +37,8 @@ NAMES = [param.name for param in SWEEP_PARAMS]
 
 @pytest.fixture
 def app():
-    """A serve app whose job queue only records payloads: no sweep, and
-    no fork, ever runs."""
+    """A serve app whose jobs do nothing: no sweep, and no fork, ever
+    runs."""
     telemetry = Telemetry()
     context = ServeContext(
         cache=ArtifactCache(telemetry=telemetry),
@@ -167,11 +167,9 @@ class TestFrontDoorsAgree:
         assert app.ctx.jobs.jobs() == []
 
     def test_spec_rejects_a_negative_seed(self):
-        fleet = repro.data.synthetic_workflows(1)
-        from repro.continuum import default_continuum
-
         with pytest.raises(MonteCarloError, match="seed"):
-            SweepSpec(workflows=fleet, continuum=default_continuum(), seed=-1)
+            SweepSpec(workflows=repro.data.synthetic_workflows(1),
+                      continuum=default_continuum(), seed=-1)
 
 
 class TestValidationCost:
