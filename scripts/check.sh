@@ -14,7 +14,9 @@
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
 #                                    # port over a temp corpus store, hit
 #                                    # /health, /corpus/stats (twice) and
-#                                    # /metrics, shut down clean; then run
+#                                    # /metrics, send one chunked POST
+#                                    # (must get 501 + Connection: close),
+#                                    # shut down clean; then run
 #                                    # `repro figures` twice (cold, warm)
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
@@ -53,11 +55,13 @@ if [ "${RUN_SMOKE}" -eq 1 ]; then
     # process over a three-record corpus store, hit /health, read
     # /corpus/stats twice (cold, then from the store's aggregate cache),
     # check /metrics counted both reads in a mergeable latency sketch,
+    # send one chunked POST (refused with a 501 on a closed connection),
     # and shut down gracefully (which also closes the store). Exercises
     # the real socket path (worker pool, keep-alive, graceful close) end
     # to end.
     python - <<'SMOKE'
 import json
+import socket
 import sys
 import tempfile
 import urllib.request
@@ -72,6 +76,17 @@ from repro.stats.sketch import QuantileSketch
 def get(url):
     with urllib.request.urlopen(url, timeout=10) as r:
         return r.read()
+
+
+def send_chunked(handle):
+    """One chunked POST over a raw socket; the reply up to close."""
+    with socket.create_connection((handle.host, handle.port), timeout=10) as s:
+        s.sendall(b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+                  b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+        reply = b""
+        while chunk := s.recv(65536):
+            reply += chunk
+    return reply
 
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -90,14 +105,19 @@ with tempfile.TemporaryDirectory() as tmp:
         cold = get(handle.url + "/corpus/stats")
         warm = get(handle.url + "/corpus/stats")
         metrics = json.loads(get(handle.url + "/metrics"))
+        chunked = send_chunked(handle)
 assert payload["status"] == "ok", payload
 assert cold == warm, (cold, warm)
 assert json.loads(cold) == expected, (cold, expected)
 latency = metrics["serve.request_seconds.corpus_stats"]
 assert latency["count"] == 2, latency
 assert QuantileSketch.from_dict(latency["sketch"]).count == 2, latency
+chunked_head = chunked.partition(b"\r\n\r\n")[0].split(b"\r\n")
+assert chunked_head[0].split()[1] == b"501", chunked
+assert b"Connection: close" in chunked_head, chunked
 print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
-      f"{expected['records']} records twice, graceful shutdown clean")
+      f"{expected['records']} records twice, chunked POST refused 501, "
+      "graceful shutdown clean")
 sys.exit(0)
 SMOKE
 

@@ -40,13 +40,12 @@ This module is the batched engine, in five layers:
    spend the full budget — a large reduction in simulations at equal
    statistical precision (gated in ``benchmarks/test_bench_montecarlo.py``).
 4. **Streaming, mergeable aggregation** — the engine hands each round
-   to this module's fold, which adds the replications to
-   :class:`RunningStat` (Welford mean/variance, min/max) and
-   :class:`~repro.stats.sketch.QuantileSketch` (log-bucket quantile
-   sketch with an *exact, associative* merge) accumulators per grid
-   cell (:class:`CellAggregate`), so memory stays O(buckets) — constant
-   in the replication count — and partial aggregates from independent
-   processes or hosts combine deterministically.
+   to this module's fold, which adds the replications to one
+   :class:`~repro.stats.sketch.RunningStat` (Welford moments beside a
+   quantile sketch with an *exact, associative* merge) per metric and
+   grid cell (:class:`CellAggregate`), so memory stays O(buckets) and
+   partial aggregates from independent processes or hosts combine
+   deterministically.
 5. **Integration** — the engine content-addresses grid cells (an
    :class:`~repro.pipeline.cache.ArtifactCache` hit skips every
    simulation of an already-computed cell), opens the telemetry span,
@@ -97,7 +96,7 @@ from repro.continuum.scheduling import (
     Schedule,
 )
 from repro.continuum.workflow import Workflow
-from repro.errors import ContinuumError, MonteCarloError
+from repro.errors import ContinuumError, MonteCarloError, StatsError
 from repro.stats.rounds import (
     Rounds,
     SweepOutcome,
@@ -106,14 +105,13 @@ from repro.stats.rounds import (
     round_rng,
     run_rounds,
 )
-from repro.stats.sketch import QuantileSketch
+from repro.stats.sketch import QuantileSketch, RunningStat
 from repro.sweep_params import SPEC_PARAMS, check_request
 
 __all__ = [
     "ENGINE_VERSION",
     "SCHEDULERS",
     "METRIC_NAMES",
-    "SKETCH_ALPHA",
     "ReplicationResult",
     "SimulationContext",
     "replicate_once",
@@ -136,9 +134,6 @@ __all__ = [
 #: replaced fixed-bucket histograms in the cell aggregate, and the
 #: replication plan (fixed count vs adaptive stopping) joined the key.
 ENGINE_VERSION = "2"
-
-#: Relative-accuracy guarantee of every cell's quantile sketches.
-SKETCH_ALPHA = 0.01
 
 #: Scheduler registry the sweep grid selects from by name.
 SCHEDULERS: dict[str, Any] = {
@@ -509,92 +504,6 @@ def _summarize(
 # -- streaming aggregation ----------------------------------------------------
 
 
-class RunningStat:
-    """Welford mean/variance accumulator with min/max, O(1) memory.
-
-    The fold order is fixed by the caller (replication order), which pins
-    the floating-point result bit-for-bit across worker counts.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); 0.0 with fewer than two observations."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Fold another accumulator in (Chan et al. parallel update).
-
-        For combining partial aggregates from independent processes or
-        hosts.  The merged moments are deterministic for a given merge
-        tree but — unlike the quantile sketches — not bit-identical to a
-        value-by-value fold; that is why :func:`run_sweep` itself folds
-        raw replications in replication order and reserves ``merge`` for
-        cross-host combination.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        return self
-
-    def to_dict(self) -> dict[str, float | int]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self._m2,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunningStat":
-        stat = cls()
-        stat.count = int(payload["count"])
-        stat.mean = float(payload["mean"])
-        stat._m2 = float(payload["m2"])
-        if stat.count:
-            stat.min = float(payload["min"])
-            stat.max = float(payload["max"])
-        return stat
-
-
 @dataclass(frozen=True, slots=True)
 class MetricSummary:
     """One metric's distribution over a grid cell's replications."""
@@ -635,67 +544,50 @@ class MetricSummary:
 
 
 class CellAggregate:
-    """Streams one cell's replications into mergeable stats + sketches.
+    """Streams one cell's replications into a :class:`RunningStat` per metric.
 
-    One :class:`RunningStat` (exact moments) and one
-    :class:`~repro.stats.sketch.QuantileSketch` (quantiles within
-    :data:`SKETCH_ALPHA` relative error) per metric.  Unlike the
-    fixed-bucket histograms this replaces, the sketches need no a-priori
-    value range and their :meth:`merge` is *exact*: combining partial
-    aggregates from independent processes or hosts yields the same
-    sketch state as one aggregate fed every replication — the foundation
-    for distributing sweeps beyond one parent process.
+    Sketch merges are *exact*: partial aggregates from independent
+    processes or hosts combine to the sketch state of one aggregate fed
+    every replication.
 
     ``to_dict``/``from_dict`` round-trip the full state through JSON so
     a partial aggregate is shippable between hosts.
     """
 
-    __slots__ = ("stats", "sketches")
+    __slots__ = ("stats",)
 
     def __init__(self) -> None:
         self.stats = {name: RunningStat() for name in METRIC_NAMES}
-        self.sketches = {
-            name: QuantileSketch(SKETCH_ALPHA) for name in METRIC_NAMES
-        }
 
     def add(self, values: tuple[float, float, int, int, float]) -> None:
         for name, value in zip(METRIC_NAMES, values):
             self.stats[name].add(value)
-            self.sketches[name].add(value)
 
     def merge(self, other: "CellAggregate") -> "CellAggregate":
         """Fold another cell aggregate in (sketch merge is exact)."""
         for name in METRIC_NAMES:
             self.stats[name].merge(other.stats[name])
-            self.sketches[name].merge(other.sketches[name])
         return self
 
     def summaries(self) -> dict[str, MetricSummary]:
         out: dict[str, MetricSummary] = {}
         for name in METRIC_NAMES:
             stat = self.stats[name]
-            sketch = self.sketches[name]
             out[name] = MetricSummary(
                 count=stat.count,
                 mean=stat.mean,
                 std=stat.std,
                 min=stat.min,
                 max=stat.max,
-                p50=sketch.quantile(0.50),
-                p90=sketch.quantile(0.90),
-                p99=sketch.quantile(0.99),
+                p50=stat.quantile(0.50),
+                p90=stat.quantile(0.90),
+                p99=stat.quantile(0.99),
             )
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "stats": {
-                name: self.stats[name].to_dict() for name in METRIC_NAMES
-            },
-            "sketches": {
-                name: self.sketches[name].to_dict() for name in METRIC_NAMES
-            },
-        }
+        stats = {name: self.stats[name].to_dict() for name in METRIC_NAMES}
+        return {"stats": stats}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CellAggregate":
@@ -705,11 +597,7 @@ class CellAggregate:
                 name: RunningStat.from_dict(payload["stats"][name])
                 for name in METRIC_NAMES
             }
-            aggregate.sketches = {
-                name: QuantileSketch.from_dict(payload["sketches"][name])
-                for name in METRIC_NAMES
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, StatsError) as exc:
             raise MonteCarloError(
                 f"malformed cell aggregate payload: {exc}"
             ) from None

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.atomic import atomic_write
 from repro.errors import LedgerError
 from repro.obs.record import RunRecord
 from repro.telemetry.log import NULL_LOGGER
@@ -184,25 +184,12 @@ class RunRegistry:
             return 0
         total_lines = sum(1 for _ in self._read_lines())
         kept = self.runs()[-keep:] if keep else []
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{LEDGER_NAME}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for record in kept:
-                    handle.write(
-                        json.dumps(
-                            record.to_dict(), sort_keys=True, default=str
-                        )
-                        + "\n"
-                    )
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.path) as handle:
+            for record in kept:
+                handle.write(
+                    json.dumps(record.to_dict(), sort_keys=True, default=str)
+                    + "\n"
+                )
         dropped = total_lines - len(kept)
         self.log.info(
             "ledger.gc", path=str(self.path), kept=len(kept), dropped=dropped

@@ -30,10 +30,10 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.atomic import atomic_write
 from repro.errors import CacheError
 
 __all__ = ["stable_digest", "ArtifactCache"]
@@ -227,22 +227,10 @@ class ArtifactCache:
         self._count("stores")
         if self._directory is None:
             return
-        path = self._path(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self._directory, prefix=f".{key[:12]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            written = os.path.getsize(tmp_name)
-            os.replace(tmp_name, path)
-            self._count("bytes_written", written)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self._path(key), "wb") as handle:
+            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            written = handle.tell()
+        self._count("bytes_written", written)
 
     def evict(self, key: str) -> None:
         """Drop *key* from every layer (a no-op if absent).

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
+from repro.atomic import atomic_write
 from repro.errors import PipelineError
 
 __all__ = ["RunManifest"]
@@ -51,10 +51,10 @@ class RunManifest:
     >>> import tempfile, pathlib
     >>> with tempfile.TemporaryDirectory() as tmp:
     ...     manifest = RunManifest(pathlib.Path(tmp) / "run.json")
-    ...     manifest.begin("run-key-1")
+    ...     _ = manifest.begin("run-key-1")
     ...     manifest.mark_complete("collect", "abc123")
     ...     reloaded = RunManifest(pathlib.Path(tmp) / "run.json")
-    ...     reloaded.begin("run-key-1")       # same run: records survive
+    ...     _ = reloaded.begin("run-key-1")   # same run: records survive
     ...     reloaded.is_complete("collect", "abc123")
     True
     """
@@ -122,19 +122,8 @@ class RunManifest:
             "run_key": self.run_key,
             "completed": self._completed,
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f".{self.path.name}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.path) as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
         if self.telemetry is not None:
             metrics = self.telemetry.metrics
             metrics.counter("manifest.writes").inc()

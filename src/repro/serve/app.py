@@ -160,16 +160,21 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if 0 <= length <= _MAX_BODY_BYTES:
+        refusal = None
+        if "Transfer-Encoding" in self.headers:
+            # Chunked bodies are not decoded; reading this one as
+            # bodiless would parse its chunks as the next request.
+            refusal = 501, "Transfer-Encoding is not supported"
+        elif length < 0:
+            refusal = 400, "bad Content-Length"
+        elif length > _MAX_BODY_BYTES:
+            refusal = 413, "request body too large"
+        if refusal is None:
             payload = self.rfile.read(length) if length else None
             status, body = app.dispatch(self.command, self.path, payload)
         else:
-            status = 400 if length < 0 else 413
-            body = app.refuse(
-                self.command, self.path, status,
-                "bad Content-Length" if length < 0
-                else "request body too large",
-            )
+            status, error = refusal
+            body = app.refuse(self.command, self.path, status, error)
             # The body stays unread, so the connection cannot carry
             # another request.
             self.close_connection = True

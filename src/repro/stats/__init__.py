@@ -30,7 +30,7 @@ from repro.stats.inference import (
     permutation_tvd_test,
     total_variation_distance,
 )
-from repro.stats.sketch import QuantileSketch
+from repro.stats.sketch import QuantileSketch, RunningStat
 from repro.stats.fanout import (
     StatCell,
     StatSpec,
@@ -43,6 +43,7 @@ from repro.stats.fanout import (
 __all__ = [
     "FrequencyTable",
     "QuantileSketch",
+    "RunningStat",
     "StatCell",
     "StatSpec",
     "StatSweepResult",

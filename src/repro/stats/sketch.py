@@ -1,16 +1,11 @@
-"""Mergeable quantile sketches with an exact, associative merge.
+"""Mergeable streaming summaries: a quantile sketch and the running stat.
 
 Fixed-bucket histograms answer quantile queries in O(buckets) memory,
 but their accuracy is pinned to a range chosen *before* the data
 arrives, and their merge story stops at "add the count arrays" — sound
 only when every partial aggregate was built with identical edges.  The
 package's quantiles need a summary whose partial states combine
-*exactly*, no matter how the stream was split.  It has two users: the
-Monte-Carlo sweep cells (:class:`repro.continuum.montecarlo.CellAggregate`),
-whose partial aggregates from any worker or host combine into one cell,
-and the telemetry histograms behind ``/metrics``
-(:class:`repro.telemetry.metrics.Histogram`), whose snapshots from
-separate registries, servers or processes merge into one.
+*exactly*, no matter how the stream was split.
 
 :class:`QuantileSketch` is that summary.  It is a log-bucket sketch in
 the DDSketch family (Masson et al., VLDB 2019): a value ``v > 0`` lands
@@ -34,16 +29,22 @@ spanning a bounded dynamic range (about 230 buckets per decade at the
 default ``alpha = 0.01``).  The sketch refuses to grow past
 ``max_buckets`` (:class:`~repro.errors.StatsError`) instead of collapsing
 buckets — collapse would silently break the exact-merge guarantee.
+
+:class:`RunningStat`, exact moments beside a sketch, is the package's
+one streaming summary of an observed distribution: the sweep cells
+(:class:`repro.continuum.montecarlo.CellAggregate`) and the ``/metrics``
+histograms (:class:`repro.telemetry.metrics.Histogram`) both hold it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StatsError
 
-__all__ = ["QuantileSketch"]
+__all__ = ["QuantileSketch", "RunningStat"]
 
 #: Serialized-state schema version (part of every payload).
 _FORMAT = 1
@@ -144,19 +145,12 @@ class QuantileSketch:
         Exact: the merged state equals the state of one sketch fed both
         streams, so the operation is associative and commutative across
         any split of the data (property-tested in
-        ``tests/test_montecarlo.py``).
+        ``tests/test_montecarlo.py`` and ``tests/test_running_stat.py``).
         """
         self._check_compatible(other)
-        for key, count in other._pos.items():
-            if key in self._pos:
-                self._pos[key] += count
-            else:
-                self._pos[key] = count
-        for key, count in other._neg.items():
-            if key in self._neg:
-                self._neg[key] += count
-            else:
-                self._neg[key] = count
+        for mine, theirs in ((self._pos, other._pos), (self._neg, other._neg)):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
         self._zeros += other._zeros
         self._check_size()
         return self
@@ -281,6 +275,114 @@ class QuantileSketch:
             f"QuantileSketch(alpha={self.alpha}, count={self.count}, "
             f"buckets={len(self._pos) + len(self._neg)})"
         )
+
+
+class RunningStat:
+    """Welford mean/variance, min and max beside a :class:`QuantileSketch`.
+
+    :meth:`add` hands the value to the sketch first, so a non-finite
+    value raises :class:`~repro.errors.StatsError` before any moment
+    changes.  The caller fixes the fold order, which pins the moments
+    bit for bit across worker counts.
+    """
+
+    __slots__ = ("count", "mean", "_m2", "min", "max", "sketch")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.sketch = QuantileSketch()
+
+    def add(self, value: float) -> None:
+        self.sketch.add(value)
+        self.count += 1
+        delta = value - self.mean
+        self.mean += delta / self.count
+        self._m2 += delta * (value - self.mean)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    @property
+    def variance(self) -> float:
+        """Sample variance (ddof=1); 0.0 with fewer than two observations."""
+        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.variance)
+
+    def quantile(self, q: float) -> float:
+        """The sketch's *q*-quantile, within ``alpha`` relative error."""
+        return self.sketch.quantile(q)
+
+    def merge(self, other: "RunningStat") -> "RunningStat":
+        """Fold another summary in, in place; returns ``self``.
+
+        The sketch merges exactly; the moments by Chan et al.'s parallel
+        update, deterministic for a given merge tree but not bit-identical
+        to a value-by-value fold, so the sweep folds raw replications and
+        keeps ``merge`` for combining partial aggregates across hosts.
+        """
+        self.sketch.merge(other.sketch)
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            self.count = other.count
+            self.mean = other.mean
+            self._m2 = other._m2
+            self.min = other.min
+            self.max = other.max
+            return self
+        total = self.count + other.count
+        delta = other.mean - self.mean
+        self._m2 += other._m2 + delta * delta * self.count * other.count / total
+        self.mean += delta * other.count / total
+        self.count = total
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        return self
+
+    def copy(self) -> "RunningStat":
+        clone = copy.copy(self)
+        clone.sketch = self.sketch.copy()
+        return clone
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "m2": self._m2,
+            "min": self.min if self.count else None,
+            "max": self.max if self.count else None,
+            "sketch": self.sketch.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "RunningStat":
+        stat = cls()
+        try:
+            stat.count = int(payload["count"])
+            stat.mean = float(payload["mean"])
+            stat._m2 = float(payload["m2"])
+            if stat.count:
+                stat.min = float(payload["min"])
+                stat.max = float(payload["max"])
+            stat.sketch = QuantileSketch.from_dict(payload["sketch"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StatsError(f"malformed running stat: {exc}") from None
+        if stat.sketch.count != stat.count:
+            raise StatsError(
+                f"running stat payload counts {stat.count} values but its "
+                f"sketch holds {stat.sketch.count}"
+            )
+        return stat
 
 
 def _load_buckets(entries: Iterable[Any]) -> dict[int, int]:

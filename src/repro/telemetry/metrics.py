@@ -6,9 +6,11 @@ observability needs:
 * :class:`Counter` — monotonically increasing totals (cache hits, bytes
   written);
 * :class:`Histogram` — distribution of observations (stage and request
-  durations) held in a :class:`~repro.stats.sketch.QuantileSketch`, so
-  its p50/p90/p99 cover every observation within 1% relative error and
-  snapshots from separate workers or processes merge exactly.
+  durations) held in one :class:`~repro.stats.sketch.RunningStat`, the
+  package's one streaming summary: its p50/p90/p99 cover every
+  observation within 1% relative error, snapshots from separate
+  workers or processes merge exactly, and the summary's ``total`` is
+  ``mean × count``.
 
 All instruments are thread-safe (one lock per instrument), because the
 ``repro serve`` worker threads record into one shared registry.  Every
@@ -29,7 +31,7 @@ import threading
 from typing import Any
 
 from repro.errors import TelemetryError
-from repro.stats.sketch import QuantileSketch
+from repro.stats.sketch import RunningStat
 
 __all__ = [
     "Counter",
@@ -86,73 +88,65 @@ class Counter:
 
 
 class Histogram:
-    """Distribution of observations, summarized by a :class:`QuantileSketch`.
+    """Distribution of observations, summarized by a :class:`RunningStat`.
 
-    Every observation lands in the sketch, so percentiles cover the
-    whole stream within the sketch's relative error ``alpha`` (1%), at
-    any count and any scale from microseconds to minutes.  Exact
-    ``count``/``total``/``max`` ride alongside.  The sketch state is a
-    pure function of the observed multiset, so the ``sketch`` payloads
-    of summaries taken in separate registries, workers or processes
-    merge exactly through :meth:`QuantileSketch.merge`.
+    Percentiles cover the whole stream within the stat's sketch error
+    ``alpha`` (1%), at any scale from microseconds to minutes; ``count``,
+    ``mean`` and ``max`` are exact, and ``total`` is ``mean × count``
+    (the stat keeps a running mean, not a sum).  The ``sketch`` payloads
+    of summaries from separate registries, workers or processes merge
+    exactly through :meth:`~repro.stats.sketch.QuantileSketch.merge`.
     """
 
-    __slots__ = ("name", "_lock", "_sketch", "_count", "_total", "_max")
+    __slots__ = ("name", "_lock", "_stat")
 
     kind = "histogram"
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
-        self._sketch = QuantileSketch()
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
+        self._stat = RunningStat()
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (a non-finite one raises StatsError)."""
         value = float(value)
         with self._lock:
-            self._sketch.add(value)
-            self._count += 1
-            self._total += value
-            if value > self._max:
-                self._max = value
+            self._stat.add(value)
 
     @property
     def count(self) -> int:
         """How many observations were recorded."""
-        return self._count
+        return self._stat.count
 
     @property
     def total(self) -> float:
-        """Sum of all observations."""
-        return self._total
+        """Sum of all observations, as ``mean × count``."""
+        return self._stat.mean * self._stat.count
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (0.0 when empty)."""
-        return self._total / self._count if self._count else 0.0
+        return self._stat.mean
 
     def summary(self) -> dict[str, Any]:
-        """Snapshot with count/mean/max, the sketch state, and
+        """Snapshot with count/total/mean/max, the sketch state, and
         p50/p90/p99 when non-empty."""
         with self._lock:
-            sketch = self._sketch.copy()
-            count, total, peak = self._count, self._total, self._max
+            stat = self._stat.copy()
+        count = stat.count
         summary: dict[str, Any] = {
             "kind": self.kind,
             "count": count,
-            "total": total,
-            "mean": total / count if count else 0.0,
-            "max": peak,
-            "sketch": sketch.to_dict(),
+            "total": stat.mean * count,
+            "mean": stat.mean,
+            "max": stat.max if count else 0.0,
+            "sketch": stat.sketch.to_dict(),
         }
         if count:
             summary.update(
-                p50=sketch.quantile(0.5),
-                p90=sketch.quantile(0.9),
-                p99=sketch.quantile(0.99),
+                p50=stat.quantile(0.5),
+                p90=stat.quantile(0.9),
+                p99=stat.quantile(0.99),
             )
         return summary
 

@@ -652,8 +652,8 @@ class TestCellAggregate:
         first.merge(second)
         # Sketch states are exactly equal; moments agree to float noise.
         assert {
-            name: sk.to_dict() for name, sk in first.sketches.items()
-        } == {name: sk.to_dict() for name, sk in whole.sketches.items()}
+            name: st.sketch.to_dict() for name, st in first.stats.items()
+        } == {name: st.sketch.to_dict() for name, st in whole.stats.items()}
         for name in whole.stats:
             assert first.stats[name].count == whole.stats[name].count
             assert first.stats[name].mean == pytest.approx(

@@ -9,6 +9,7 @@ import ast
 import doctest
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import re
 
@@ -16,6 +17,7 @@ import pytest
 
 import repro
 import repro.continuum
+import repro.stats
 import repro.telemetry
 
 PUBLIC_MODULES = sorted(
@@ -195,10 +197,45 @@ def test_registry_histograms_are_sketch_backed():
 
     registry = MetricsRegistry.for_pipeline()
     for name in ("pipeline.stage_seconds", "serve.request_seconds.health"):
-        assert type(registry.histogram(name)._sketch) is QuantileSketch
+        assert type(registry.histogram(name)._stat.sketch) is QuantileSketch
     # No bucket bounds or other knobs: a histogram is chosen by name only.
     for factory in (MetricsRegistry.histogram, NullMetricsRegistry.histogram):
         assert list(inspect.signature(factory).parameters) == ["self", "name"]
+
+
+def test_observed_distributions_hold_only_running_stats():
+    """``/metrics`` histograms and sweep cells summarize through one
+    type; neither keeps a second count/total/max or a loose sketch."""
+    from repro.continuum import montecarlo
+    from repro.continuum.montecarlo import CellAggregate
+    from repro.stats.sketch import RunningStat
+    from repro.telemetry.metrics import Histogram
+
+    assert Histogram.__slots__ == ("name", "_lock", "_stat")
+    assert type(Histogram("h")._stat) is RunningStat
+    assert CellAggregate.__slots__ == ("stats",)
+    stats = CellAggregate().stats
+    assert stats and all(type(s) is RunningStat for s in stats.values())
+    assert not hasattr(montecarlo, "SKETCH_ALPHA")
+    assert repro.stats.RunningStat is RunningStat
+    assert repro.continuum.RunningStat is RunningStat
+
+
+def test_src_has_one_welford_update():
+    """The running mean's ``mean += delta / count`` step, and the
+    second moment it feeds, live only in ``repro.stats.sketch``."""
+    root = pathlib.Path(repro.__file__).parent
+    welford, m2 = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        source = path.read_text(encoding="utf-8")
+        found = re.findall(r"\bmean\s*\+=\s*\w+\s*/", source)
+        if found:
+            welford[name] = len(found)
+        if re.search(r"\b_?m2\b", source):
+            m2.add(name)
+    assert welford == {"stats/sketch.py": 1}
+    assert m2 == {"stats/sketch.py"}
 
 
 def _stage_dag_entry_points():

@@ -700,6 +700,41 @@ class TestMalformedRequests:
         snapshot = ctx.telemetry.metrics.snapshot()
         assert "serve.handler_errors" not in snapshot
 
+    def test_chunked_request_is_refused_without_desync(self, ctx):
+        """A chunked body is never read as bodiless: the request gets a
+        501 and a closed connection, so its chunk bytes can never be
+        parsed as the pipelined request behind it."""
+        chunked = (
+            b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b'd\r\n{"grid": "x"}\r\n0\r\n\r\n'
+            b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        with ServerHandle(ctx, workers=2) as handle:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=10
+            ) as sock:
+                sock.sendall(chunked)
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            health = get_json(handle.url + "/health")
+        reply = b"".join(chunks)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == "501"
+        assert "Connection: close" in lines
+        assert json.loads(body) == {
+            "error": "Transfer-Encoding is not supported"
+        }
+        assert reply.count(b"HTTP/1.") == 1
+        assert health[0] == 200
+        access = [
+            (e.fields["path"], e.fields["status"])
+            for e in ctx.telemetry.log.events() if e.event == "serve.access"
+        ]
+        assert access == [("/sweeps", 501), ("/health", 200)]
+
     def test_int_past_the_digit_limit_is_400(self, app):
         # json.loads raises a plain ValueError, not JSONDecodeError.
         status, raw = app.dispatch(
