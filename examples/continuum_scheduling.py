@@ -11,7 +11,7 @@ and runs it on an HPC+Cloud+Edge continuum with three schedulers:
 * round-robin (the naive baseline).
 
 It then stress-tests the best plan under execution jitter with the
-discrete-event simulator, the way an orchestrator would evaluate plan
+list-scheduling replay, the way an orchestrator would evaluate plan
 robustness before committing.
 
 Run with::

@@ -42,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.continuum.compile import compile_problem
-from repro.continuum.montecarlo import SimulationContext, _replicate, _summarize
+from repro.continuum.montecarlo import (
+    SimulationContext,
+    _placements,
+    _replicate,
+    _summarize,
+    _validate_cell_params,
+)
 from repro.continuum.scheduling import Schedule, TaskPlacement
 from repro.errors import ContinuumError
 from repro.telemetry import ensure
@@ -102,9 +108,10 @@ def simulate_with_failures(
         whose start order is not topological raises
         :class:`ContinuumError`.
     mtbf:
-        Mean time between failures per resource, in simulated seconds.
+        Mean time between failures per resource, in simulated seconds
+        (> 0).
     repair_time:
-        Downtime after each failure.
+        Downtime after each failure (a finite value >= 0).
     policy:
         ``"restart"`` or ``"migrate"`` (see module docstring).
     seed:
@@ -123,17 +130,13 @@ def simulate_with_failures(
         logged (``sim.failure``), and the counters
         ``sim.failures_injected`` (failures fired, harmless idle reboots
         included), ``sim.retries`` (attempts killed mid-execution),
-        ``sim.migrations``, ``sim.events`` (attempts started) and
+        ``sim.migrations``, ``sim.events`` (tasks plus killed attempts) and
         ``sim.tasks`` feed the run-ledger metrics snapshot.
     """
-    if mtbf <= 0:
-        raise ContinuumError("mtbf must be > 0")
-    if repair_time < 0:
-        raise ContinuumError("repair_time must be >= 0")
-    if policy not in ("restart", "migrate"):
-        raise ContinuumError(f"unknown policy {policy!r}")
-    if max_attempts < 1:
-        raise ContinuumError("max_attempts must be >= 1")
+    _validate_cell_params(
+        mtbf=mtbf, repair_time=repair_time, policy=policy,
+        max_attempts=max_attempts,
+    )
     if rng is not None and seed is not None:
         raise ContinuumError("provide either seed or rng, not both")
     if rng is None:
@@ -210,16 +213,12 @@ def _failure_trace(
             policy=policy,
         )
     summary = _summarize(context, outcome)
-    start, finish, resource, _, _, idle_failures = outcome
-    placements = map(
-        TaskPlacement, task_keys, [res_keys[r] for r in resource], start, finish
-    )
     trace = FailureTrace(
-        placements=tuple(sorted(placements, key=lambda p: (p.start, p.task))),
+        placements=_placements(problem, outcome),
         makespan=summary.makespan,
         planned_makespan=schedule.makespan,
         n_failures=summary.retries,
         n_migrations=summary.migrations,
         lost_work=summary.lost_work,
     )
-    return trace, idle_failures
+    return trace, outcome[5]  # the idle failures

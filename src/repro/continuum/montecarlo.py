@@ -18,9 +18,11 @@ This module is the batched engine, in five layers:
    the feasibility sets the migrate policy scans.  One replication then
    runs on flat lists of floats and ints in :func:`_replicate`, the
    package's one list-scheduling replay: ``simulate_with_failures`` wraps
-   it, its ``mtbf=None`` branch is the makespan-only fast path, and
-   ``simulate_schedule`` keeps its event loop for the reason given in
-   :mod:`repro.continuum.simulate`.
+   it, and its ``mtbf=None`` branch is both the makespan-only fast path of
+   jitter-only cells and the executor of ``simulate_schedule``.  The
+   one-shot simulators bind a lazy context (``SimulationContext._one_shot``)
+   that builds no dense tables, and check their parameters with the same
+   :func:`_validate_cell_params` as :func:`replicate_once`.
 2. **The round engine** — :func:`run_sweep` runs the grid on
    :mod:`repro.stats.rounds`, the package's one adaptive round engine
    (stat sweeps run on it too).  The engine feeds a shared round queue
@@ -72,10 +74,11 @@ bit-identical across execution placements; the round size
 for fixed-replication sweeps chunking still can never change results.
 One replication with generator ``g`` reproduces
 ``simulate_with_failures(schedule, ..., rng=g)`` bit-for-bit when
-``jitter == 0`` (the same kernel), and the makespan of
-``simulate_schedule(schedule, jitter=j, rng=g)`` when ``mtbf is None``
-(batch draws of NumPy ``Generator`` consume the stream exactly like the
-equivalent scalar sequence).
+``jitter == 0``, and the placements and makespan of
+``simulate_schedule(schedule, jitter=j, rng=g)`` when ``mtbf is None``:
+both are this kernel.  (Batch draws of NumPy ``Generator`` consume the
+stream exactly like the equivalent scalar sequence, so the object-keyed
+oracles' per-task draws agree too.)
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from repro.continuum.scheduling import (
     HeftScheduler,
     RoundRobinScheduler,
     Schedule,
+    TaskPlacement,
 )
 from repro.continuum.workflow import Workflow
 from repro.errors import ContinuumError, MonteCarloError, StatsError
@@ -316,11 +320,13 @@ def replicate_once(
 ) -> ReplicationResult:
     """Run one replication against a precomputed context.
 
-    With ``mtbf=None`` this is the jitter-only replay (bit-identical
-    makespan to :func:`~repro.continuum.simulate.simulate_schedule`);
-    with a finite ``mtbf`` it is the failure replay that
-    :func:`~repro.continuum.failures.simulate_with_failures` wraps
-    (bit-identical to it when ``jitter == 0``).  Draw order: the
+    With ``mtbf=None`` this is the jitter-only replay that
+    :func:`~repro.continuum.simulate.simulate_schedule` runs (the same
+    makespan, bit for bit); with a finite ``mtbf`` it is the failure
+    replay that :func:`~repro.continuum.failures.simulate_with_failures`
+    wraps (bit-identical to it when ``jitter == 0``).  All three check
+    their parameters the same way: ``jitter`` and ``repair_time`` must be
+    finite and >= 0, and ``mtbf`` > 0.  Draw order: the
     per-task jitter factors first (task insertion order), then the
     per-resource initial failure times (continuum key order), then one
     exponential per consumed failure.
@@ -337,12 +343,13 @@ def replicate_once(
 
 def _validate_cell_params(
     *,
-    mtbf: float | None,
-    repair_time: float,
-    policy: str,
-    jitter: float,
-    max_attempts: int,
+    mtbf: float | None = None,
+    repair_time: float = 0.0,
+    policy: str = "restart",
+    jitter: float = 0.0,
+    max_attempts: int = 1,
 ) -> None:
+    """The one check of replay parameters, shared by every front door."""
     if mtbf is not None and not mtbf > 0:
         raise MonteCarloError("mtbf must be > 0 (or None for no failures)")
     if not (math.isfinite(repair_time) and repair_time >= 0):
@@ -412,8 +419,8 @@ def _replicate(
     for ti in order:
         res = planned_res[ti]
         task_preds = preds[ti]
-        # The jitter-only path multiplies the *placement* duration, like
-        # simulate_schedule; the failure replay recomputes work/speed
+        # The jitter-only path (simulate_schedule's) multiplies the
+        # *placement* duration; the failure replay recomputes work/speed
         # (equal up to float noise).
         durations = dur_table[ti]
         attempts = 0
@@ -499,6 +506,19 @@ def _summarize(
         migrations=sum(map(ne, fin_res, ctx.planned_res)),
         lost_work=lost_work,
     )
+
+
+def _placements(
+    problem: CompiledProblem,
+    outcome: tuple[list[float], list[float], list[int], int, float, int],
+) -> tuple[TaskPlacement, ...]:
+    """One replay's final attempts as placements sorted by (start, task)."""
+    start, finish, resource = outcome[:3]
+    task_keys, res_keys = problem.cw.keys, problem.cc.keys
+    placements = map(
+        TaskPlacement, task_keys, [res_keys[r] for r in resource], start, finish
+    )
+    return tuple(sorted(placements, key=lambda p: (p.start, p.task)))
 
 
 # -- streaming aggregation ----------------------------------------------------

@@ -42,8 +42,8 @@ class Router:
     Examples
     --------
     >>> router = Router()
-    >>> router.add("GET", r"/jobs/(?P<job_id>[^/]+)", "jobs_get",
-    ...            lambda job_id: (200, {"job": job_id}))
+    >>> _ = router.add("GET", r"/jobs/(?P<job_id>[^/]+)", "jobs_get",
+    ...                lambda job_id: (200, {"job": job_id}))
     >>> match = router.match("GET", "/jobs/j1")
     >>> match.route.name, match.params
     ('jobs_get', {'job_id': 'j1'})

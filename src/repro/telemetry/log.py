@@ -22,7 +22,7 @@ else.
 >>> tracer = Tracer()
 >>> log = StructuredLogger(tracer=tracer)
 >>> with tracer.span("stage:collect") as span:
-...     log.info("cache.miss", key="abc")
+...     _ = log.info("cache.miss", key="abc")
 >>> event = log.events()[0]
 >>> event.event, event.level, event.span_id == span.span_id
 ('cache.miss', 'info', True)

@@ -14,8 +14,11 @@ is reachable from ``src/``.
   the compiled kernels' gap store;
 * :func:`validate_reference` — the loop validator whose first-violation
   messages ``Schedule.validate()`` reproduces;
-* :func:`_simulate_reference` — the object-keyed event loop behind
-  ``simulate_schedule``;
+* :func:`_simulate_reference` — an object-keyed event loop whose
+  placements, makespan and energy ``simulate_schedule`` reproduces on the
+  Monte-Carlo replay kernel; its energy is an exactly rounded
+  ``math.fsum``, so it does not depend on the order the two executors
+  start tasks in;
 * :func:`_replay` and :class:`_FailureClock` — the string-keyed failure
   replay behind ``simulate_with_failures``, which now wraps the
   Monte-Carlo replay kernel;
@@ -31,6 +34,7 @@ is reachable from ``src/``.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from collections import Counter
 
@@ -320,7 +324,7 @@ def _round_robin_reference(
 def _simulate_reference(
     schedule: Schedule, jitter: float, rng: np.random.Generator
 ) -> tuple[ExecutionTrace, int]:
-    """The original object-keyed event loop behind ``simulate_schedule``."""
+    """The object-keyed event loop, ``simulate_schedule``'s oracle."""
     workflow: Workflow = schedule.workflow
     continuum: Continuum = schedule.continuum
 
@@ -395,7 +399,7 @@ def _simulate_reference(
         )
 
     makespan = max(p.finish for p in finished.values())
-    busy_energy = sum(
+    busy_energy = math.fsum(
         continuum[p.resource].busy_power * p.duration
         for p in finished.values()
     )

@@ -1,5 +1,7 @@
 """Unit tests for failure injection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.continuum.resources import default_continuum
 from repro.continuum.scheduling import HeftScheduler, Schedule, TaskPlacement
 from repro.continuum.simulate import simulate_schedule
 from repro.continuum.workflow import Task, Workflow, layered_workflow, random_workflow
-from repro.errors import ContinuumError
+from repro.errors import ContinuumError, MonteCarloError, SchedulingError
 from repro.telemetry import Telemetry
 from tests.oracles import _FailureClock, _replay
 
@@ -264,6 +266,41 @@ class TestValidation:
             simulate_with_failures(schedule, mtbf=1.0, repair_time=0.0,
                                    max_attempts=0)
 
+    @pytest.mark.parametrize("params", [
+        pytest.param({"jitter": math.nan}, id="jitter-nan"),
+        pytest.param({"jitter": math.inf}, id="jitter-inf"),
+        pytest.param({"mtbf": math.nan, "repair_time": 1.0}, id="mtbf-nan"),
+        pytest.param({"mtbf": 40.0, "repair_time": math.nan},
+                     id="repair_time-nan"),
+        pytest.param({"mtbf": 40.0, "repair_time": math.inf},
+                     id="repair_time-inf"),
+    ])
+    def test_non_finite_rejected_like_replicate_once(self, schedule, params):
+        one_shot = (
+            simulate_schedule if "jitter" in params else simulate_with_failures
+        )
+        with pytest.raises(MonteCarloError) as refused:
+            one_shot(schedule, seed=0, **params)
+        with pytest.raises(MonteCarloError) as kernel_refused:
+            replicate_once(
+                SimulationContext(schedule), rng=np.random.default_rng(0),
+                **params,
+            )
+        assert str(refused.value) == str(kernel_refused.value)
+
+    def test_infinite_mtbf_never_fails(self, schedule):
+        # An exponential clock of infinite mean never fires; replicate_once
+        # accepts mtbf=inf too.
+        trace = simulate_with_failures(
+            schedule, mtbf=math.inf, repair_time=1.0, seed=0
+        )
+        kernel = replicate_once(
+            SimulationContext(schedule), mtbf=math.inf, repair_time=1.0,
+            rng=np.random.default_rng(0),
+        )
+        assert trace.n_failures == kernel.retries == 0
+        assert trace.makespan == kernel.makespan
+
     def test_pathological_mtbf_aborts(self, schedule):
         # MTBF far below task durations: restarts can never finish.
         with pytest.raises(ContinuumError):
@@ -327,7 +364,9 @@ class TestOracleParity:
 
 class TestNonTopologicalPlan:
     """An unvalidated plan that starts ``b`` at t=0 on ``cloud-00``, ahead
-    of its predecessor ``a`` on ``hpc-00``."""
+    of its predecessor ``a`` on ``hpc-00``.  It fails
+    ``Schedule.validate()``, and every entry point to the replay kernel
+    refuses it by name."""
 
     @pytest.fixture
     def plan(self):
@@ -345,17 +384,23 @@ class TestNonTopologicalPlan:
             },
         )
 
-    def test_event_loop_follows_the_data(self, plan):
-        # The event simulator starts b only once a's output has arrived.
-        assert simulate_schedule(plan).makespan == pytest.approx(3.77, abs=5e-3)
+    def test_validate_refuses_it(self, plan):
+        with pytest.raises(SchedulingError, match="'b' starts before data from 'a'"):
+            plan.validate()
 
-    def test_failure_replay_names_the_late_predecessor(self, plan):
+    @pytest.mark.parametrize("replay", [
+        pytest.param(lambda plan: simulate_schedule(plan, seed=0),
+                     id="simulate_schedule"),
+        pytest.param(lambda plan: simulate_with_failures(
+            plan, mtbf=1e9, repair_time=0.0, seed=0),
+            id="simulate_with_failures"),
+        pytest.param(lambda plan: replicate_once(
+            SimulationContext(plan), rng=np.random.default_rng(0)),
+            id="replicate_once-mtbf-none"),
+        pytest.param(lambda plan: replicate_once(
+            SimulationContext(plan), mtbf=1e9, rng=np.random.default_rng(0)),
+            id="replicate_once-mtbf-1e9"),
+    ])
+    def test_every_replay_refuses_it(self, plan, replay):
         with pytest.raises(ContinuumError, match="'b' before its predecessor 'a'"):
-            simulate_with_failures(plan, mtbf=1e9, repair_time=0.0, seed=0)
-
-    @pytest.mark.parametrize("mtbf", [None, 1e9])
-    def test_monte_carlo_replay_names_the_late_predecessor(self, plan, mtbf):
-        with pytest.raises(ContinuumError, match="'b' before its predecessor 'a'"):
-            replicate_once(
-                SimulationContext(plan), mtbf=mtbf, rng=np.random.default_rng(0)
-            )
+            replay(plan)

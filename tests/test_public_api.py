@@ -26,19 +26,24 @@ PUBLIC_MODULES = sorted(
     if not name.rsplit(".", 1)[-1].startswith("_")
 )
 
-DOCTEST_MODULES = [
-    "repro.core.entities",
-    "repro.core.taxonomy",
-    "repro.core.facets",
-    "repro.corpus.publication",
-    "repro.corpus.query",
-    "repro.stats.frequency",
-    "repro.text.similarity",
-    "repro.text.stem",
-    "repro.text.tokenize",
-    "repro.telemetry",
-    "repro.telemetry.tracer",
-]
+
+def _modules_with_examples() -> list[str]:
+    """Every ``repro`` module whose own docstrings hold a doctest example,
+    so a new example cannot go unrun (``__main__`` runs the CLI on import)."""
+    finder = doctest.DocTestFinder()
+    names = ["repro"] + [
+        name
+        for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if not name.endswith(".__main__")
+    ]
+    return [
+        name
+        for name in names
+        if any(test.examples for test in finder.find(importlib.import_module(name)))
+    ]
+
+
+DOCTEST_MODULES = _modules_with_examples()
 
 
 CONTINUUM_MODULES = ["repro.continuum"] + sorted(

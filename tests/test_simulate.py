@@ -1,4 +1,4 @@
-"""Unit tests for the discrete-event schedule executor."""
+"""Unit tests for the schedule executor, the failure-free replay."""
 
 import pytest
 
@@ -99,6 +99,17 @@ class TestBatchedJitter:
         assert compiled.placements == reference.placements
         assert compiled.makespan == reference.makespan
         assert compiled.busy_energy == reference.busy_energy
+
+
+class TestTelemetry:
+    def test_one_event_per_task(self, schedule):
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        simulate_schedule(schedule, jitter=0.2, seed=4, telemetry=tel)
+        counter = tel.metrics.counter
+        assert counter("sim.events").value == len(schedule.workflow)
+        assert counter("sim.tasks").value == len(schedule.workflow)
 
 
 class TestValidation:
