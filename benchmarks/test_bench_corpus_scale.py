@@ -8,13 +8,13 @@ actually produces (raw exports from four digital libraries, pre-dedup):
   >= 10x with bit-identical hits;
 * a warm re-open of the store file serves queries immediately, without
   re-ingesting anything;
-* blocked near-duplicate detection runs at full scale with bounded memory
-  and recovers every injected duplicate.
+* near-duplicate detection, with its exact prefix filter, runs at full
+  scale with bounded memory and recovers every injected duplicate.
 
 The corpus is generated here rather than via ``repro.data.synthetic``:
 that generator's small title vocabulary is tuned for <=4k-record suites
-and degenerates rare-shingle blocking at 100k (every shingle becomes
-common, so *any* blocked dedup goes quadratic).  Real bibliographies have
+and degenerates the rarest-first prefix filter at 100k (every shingle
+becomes common, so any shingle-indexed dedup goes quadratic).  Real bibliographies have
 diverse titles; the generator below emulates that with a wide sampled
 vocabulary plus a unique per-record study tag, while injecting the same
 three duplicate mutations ``synthetic_corpus`` uses (case folding,
@@ -64,7 +64,7 @@ _STATE: dict = {}
 def _study_tag(i: int) -> str:
     """Unique little-endian base-26 tag: low letters vary fastest, so every
     4-gram shingle of the tag is unique across 100k records — this is what
-    keeps rare-shingle blocking selective, the way real titles do."""
+    keeps the rarest-first prefixes selective, the way real titles do."""
     return "".join(chr(97 + (i // 26**k) % 26) for k in range(6))
 
 
@@ -223,7 +223,7 @@ def test_bench_warm_reopen(benchmark, tmp_path_factory):
 
 
 def test_bench_dedup_100k(benchmark, tmp_path_factory):
-    """Blocked dedup at 100k: full recovery, memory bounded by records."""
+    """Exact dedup at 100k: full recovery, memory bounded by records."""
     path = _ensure_store(tmp_path_factory)
     peaks: list[int] = []
 
@@ -239,8 +239,9 @@ def test_bench_dedup_100k(benchmark, tmp_path_factory):
             tracemalloc.stop()
 
     summary, leftover, remaining = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Every injected duplicate shares its source's shingles, so blocking
-    # must surface each pair and merging must keep the original's key.
+    # Every injected duplicate passes a threshold against its source, so
+    # the exact prefix filter must surface each pair and merging must
+    # keep the original's key.
     assert leftover == []
     assert summary.dropped >= _N_DUPS
     assert remaining == N_RECORDS - summary.dropped

@@ -16,8 +16,12 @@
 #                                    # /health, /corpus/stats (twice) and
 #                                    # /metrics, send one chunked POST
 #                                    # (must get 501 + Connection: close),
-#                                    # shut down clean; then run
-#                                    # `repro figures` twice (cold, warm)
+#                                    # shut down clean; then ingest a
+#                                    # three-entry .bib with `repro corpus
+#                                    # ingest` and require `repro corpus
+#                                    # dedup` to drop exactly 1 record;
+#                                    # then run `repro figures` twice
+#                                    # (cold, warm)
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
 #
@@ -120,6 +124,42 @@ print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
       "graceful shutdown clean")
 sys.exit(0)
 SMOKE
+
+    # Dedup smoke: ingest three entries into a temp store through the
+    # CLI, then dedup it. Two entries carry one 249-character title with
+    # two spellings of its last four words (Jaccard 0.900, containment
+    # 0.949); the third is unrelated. Exactly one record must go.
+    dedup_tmp="$(mktemp -d)"
+    trap 'rm -rf "${dedup_tmp}"' EXIT
+    stem="A systematic mapping study of Italian research on workflows for"
+    stem="${stem} scientific computing across the cloud edge continuum with"
+    stem="${stem} provenance tracing energy aware placement and reproducible"
+    stem="${stem} execution of data intensive"
+    cat > "${dedup_tmp}/smoke.bib" <<BIB
+@article{variant-z,
+  title = {${stem} workflowz kubernetz pipelinez schedulerz},
+  year = {2021}
+}
+@article{variant-s,
+  title = {${stem} workflows kubernetes pipelines schedulers},
+  year = {2021}
+}
+@article{unrelated,
+  title = {Energy-aware placement of virtual machines},
+  year = {2019}
+}
+BIB
+    python -m repro corpus ingest --store "${dedup_tmp}/store.sqlite3" \
+        "${dedup_tmp}/smoke.bib" > /dev/null
+    dedup_out="$(python -m repro corpus dedup \
+        --store "${dedup_tmp}/store.sqlite3")"
+    if ! grep -qF ", 1 record(s) dropped " <<< "${dedup_out}"; then
+        echo "dedup smoke: expected 1 record(s) dropped, got: ${dedup_out}" >&2
+        exit 1
+    fi
+    echo "dedup smoke: ${dedup_out}"
+    rm -rf "${dedup_tmp}"
+    trap - EXIT
 
     # Figures smoke: render the artifact set through the CLI twice into
     # one temp directory with a disk cache (cold, then warm). Every path

@@ -187,7 +187,8 @@ class MappingStudy:
     def harvest(self, corpus, *, query=None, criterion=None) -> "MappingStudy":
         """Optionally harvest a bibliographic corpus before collection.
 
-        Deduplicates *corpus*, applies the protocol's (or the given) search
+        Deduplicates an in-memory copy of *corpus* (a store is left
+        unchanged), applies the protocol's (or the given) search
         *query* and an optional screening *criterion*, and records the
         narrowing as a PRISMA-style :class:`~repro.reporting.prisma.StudyFlow`
         available at :attr:`flow`.  The included publications are kept at
@@ -195,14 +196,14 @@ class MappingStudy:
         stage: harvesting informs collection, it does not replace it (the
         ICSC study collected tools by consortium instead).
         """
+        from repro.corpus.corpus import Corpus
         from repro.corpus.query import Query
         from repro.reporting.prisma import StudyFlow
 
         self._require(StudyStage.PLANNED)
-        records = list(corpus)
-        flow = StudyFlow("records identified", len(records))
-        deduped = corpus.deduplicate()
-        records = list(deduped)
+        identified = Corpus(corpus)
+        flow = StudyFlow("records identified", len(identified))
+        records = list(identified.deduplicate())
         flow.narrow("after deduplication", len(records), "duplicate records")
         queries = [query] if query is not None else list(
             self.protocol.search_queries

@@ -2,17 +2,16 @@
 
 Merging exports from several databases (Scopus, WoS, DBLP, ...) yields
 duplicate records with slightly different titles.  One index-level
-kernel, :func:`cluster_titles`, serves both containers: it blocks
-candidates cheaply, scores them with title similarity, and clusters
-matches with a union-find structure:
+kernel, :func:`cluster_titles`, serves both containers: it picks
+candidates with an exact prefix filter, scores them with title
+similarity, and clusters matches with a union-find structure:
 
-1. **Blocking** — records sharing one of their *rarest* normalized-title
-   4-gram shingles land in the same block; only within-block pairs are
-   scored.  Indexing only the rare shingles (rather than all of them) keeps
-   block sizes small — ubiquitous shingles like ``tion`` would otherwise
-   put most of the corpus into one block and reintroduce the O(n²)
-   all-pairs comparison.  True near-duplicates share the large majority of
-   their shingles, so they share rare ones too.
+1. **Prefix filter** — a matching pair shares at least ``o_min(s)``
+   shingles, ``s`` the smaller record's shingle count, so that record's
+   first ``s - o_min(s) + 1`` shingles meet the other's set (AllPairs,
+   Bayardo et al., WWW 2007).  Each record indexes only that prefix,
+   rarest shingles first so blocks stay small, and probes with its full
+   set; no matching pair is missed, and only the pairs probed are scored.
 2. **Scoring** — two complementary measures over title shingles: Jaccard
    similarity (catches spelling/case variants) and containment
    (``|A∩B| / min(|A|,|B|)``, catches subtitle truncation where one title
@@ -34,7 +33,6 @@ from repro.corpus.publication import Publication
 from repro.errors import CorpusError
 
 __all__ = [
-    "BLOCKING_KEYS",
     "DuplicateCluster",
     "cluster_titles",
     "find_duplicates",
@@ -44,12 +42,6 @@ __all__ = [
     "validate_dedup_params",
     "years_compatible",
 ]
-
-#: Rare shingles indexed per record by the blocking stage of
-#: :func:`cluster_titles`: the record's BLOCKING_KEYS least frequent
-#: shingles, ties broken by the shingle string.
-BLOCKING_KEYS = 10
-
 
 class _UnionFind:
     def __init__(self, n: int) -> None:
@@ -113,7 +105,8 @@ def pair_similarity(
 
 
 def validate_dedup_params(
-    threshold: float, containment_threshold: float, shingle_size: int
+    threshold: float, containment_threshold: float, shingle_size: int,
+    year_slack: int,
 ) -> None:
     """Validate shared dedup knobs (raises :class:`CorpusError`)."""
     if not 0 < threshold <= 1:
@@ -124,6 +117,8 @@ def validate_dedup_params(
         )
     if shingle_size < 2:
         raise CorpusError(f"shingle_size must be >= 2, got {shingle_size}")
+    if not isinstance(year_slack, int) or year_slack < 0:
+        raise CorpusError(f"year_slack must be an int >= 0, got {year_slack}")
 
 
 DuplicateCluster = tuple[Publication, ...]
@@ -155,17 +150,20 @@ def cluster_titles(
     (clusters, pairs_scored)
         One ascending index list per duplicate cluster (size >= 2),
         ordered by first member; and the number of distinct candidate
-        pairs blocking produced (each scored once, year gate included).
+        pairs (each scored once, year gate included).
 
-    Memory is O(records): each record keeps its shingles as one tuple of
-    interned strings, sorted rarest first, and no set of seen pairs is
-    kept.  A pair ``{x, y}`` is a candidate when a rare key of one is a
-    shingle of the other.  Record *x* probes the blocks of every shingle
-    it has and scores each partner ``y > x``; a partner ``y < x`` is
-    scored only when none of *x*'s rare keys is a shingle of *y* —
-    otherwise *y*'s own probe already reached *x* and scored the pair.
+    Memory is O(records): one tuple of interned shingles per record, and
+    no set of seen pairs.  ``o_min(s)`` is the least overlap ``o`` that
+    passes ``o / s >= containment_threshold`` or, against an equal-size
+    partner (the most similar a larger one can be), ``o / (2*s - o) >=
+    threshold``: the scoring's own expressions.  Records are visited in
+    ``(size, index)`` order; each probes the blocks with its full set,
+    scores every record indexed there, then indexes its prefix, so each
+    pair is scored once, from its larger record.
     """
-    validate_dedup_params(threshold, containment_threshold, shingle_size)
+    validate_dedup_params(
+        threshold, containment_threshold, shingle_size, year_slack
+    )
     n = len(titles)
     # One string object per distinct shingle: setdefault(s, s) returns
     # the first copy seen.
@@ -180,35 +178,35 @@ def cluster_titles(
     frequency: Counter[str] = Counter()
     for shingles in records:
         frequency.update(shingles)
-    # Rarest first, ties by the shingle string: a stable sort by
-    # frequency over the string-sorted shingles.
-    blocks: dict[str, list[int]] = {}
-    for i, shingles in enumerate(records):
-        ordered = tuple(sorted(sorted(shingles), key=frequency.__getitem__))
-        records[i] = ordered
-        for shingle in ordered[:BLOCKING_KEYS]:
-            blocks.setdefault(shingle, []).append(i)
-    del frequency
+    # s - o_min(s) + 1 per shingle count s; nothing for an empty record.
+    prefix_length = {
+        size: size + 1 - next((
+            o for o in range(1, size + 1)
+            if o / size >= containment_threshold
+            or o / (2 * size - o) >= threshold
+        ), size + 1)
+        for size in set(map(len, records))
+    }
 
     union_find = _UnionFind(n)
     pairs_scored = 0
-    for x, shingles in enumerate(records):
+    blocks: dict[str, list[int]] = {}
+    for x in sorted(range(n), key=lambda i: len(records[i])):
+        shingles = records[x]
         probe = frozenset(shingles)
-        partners: set[int] = set()
-        for shingle in blocks.keys() & probe:
-            partners.update(blocks[shingle])
-        partners.discard(x)
-        rare = frozenset(shingles[:BLOCKING_KEYS])
+        partners = set().union(*map(blocks.__getitem__, blocks.keys() & probe))
+        pairs_scored += len(partners)
         for y in partners:
-            other = records[y]
-            if y < x and not rare.isdisjoint(other):
-                continue
-            pairs_scored += 1
             if not years_compatible(years[x], years[y], year_slack):
                 continue
-            jaccard, containment = pair_similarity(probe, other)
+            jaccard, containment = pair_similarity(probe, records[y])
             if jaccard >= threshold or containment >= containment_threshold:
                 union_find.union(x, y)
+        # Rarest first, ties by the shingle string: a stable sort by
+        # frequency over the string-sorted shingles.
+        ordered = sorted(sorted(shingles), key=frequency.__getitem__)
+        for shingle in ordered[: prefix_length[len(shingles)]]:
+            blocks.setdefault(shingle, []).append(x)
 
     clusters: dict[int, list[int]] = {}
     for i in range(n):

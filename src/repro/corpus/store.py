@@ -19,7 +19,7 @@ hundreds of records the study saw to millions:
   full scan unless the query is negation-rooted;
 * **in-memory deduplication, SQL merge** — :meth:`CorpusStore.deduplicate`
   reads ``(id, title, year)`` in one ``SELECT`` and hands the rows to
-  :func:`repro.corpus.dedup.cluster_titles`, the one blocking, scoring
+  :func:`repro.corpus.dedup.cluster_titles`, the one filtering, scoring
   and clustering kernel ``Corpus.deduplicate`` also runs, in O(records)
   memory; only the merge, delete and re-index run in SQL.  The merged
   result is bit-identical to ``Corpus.deduplicate`` on the same records;
@@ -177,7 +177,7 @@ class DedupSummary:
     dropped:
         Records deleted (cluster members beyond the first).
     pairs_scored:
-        Distinct candidate pairs the blocking stage of
+        Distinct candidate pairs the prefix filter of
         :func:`~repro.corpus.dedup.cluster_titles` produced, each scored
         once (pairs the year gate rejects included).
     """

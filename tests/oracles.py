@@ -25,7 +25,8 @@ is reachable from ``src/``.
 * :func:`dedup_candidates_reference`, :func:`cluster_titles_reference` —
   the dedup candidate pairs and clusters built from their definitions,
   which ``repro.corpus.dedup.cluster_titles`` counts and finds without
-  materializing the pair set;
+  materializing the pair set; :func:`cluster_titles_all_pairs` scores
+  every pair, so it shows whether the candidates miss a match;
 * :func:`store_stats_reference`, :func:`store_by_year_reference`,
   :func:`store_by_venue_reference` — ``CorpusStore`` aggregates by full
   scans of the live tables, with no index shortcut and no cache.
@@ -51,7 +52,7 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.simulate import ExecutionTrace
 from repro.continuum.workflow import Workflow
-from repro.corpus.dedup import BLOCKING_KEYS, title_shingles
+from repro.corpus.dedup import title_shingles
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import ContinuumError, CorpusError, SchedulingError
 from repro.stats.frequency import FrequencyTable
@@ -555,27 +556,89 @@ def _replay(
 
 
 def dedup_candidates_reference(
-    titles: list[str], shingle_size: int = 4
+    titles: list[str],
+    shingle_size: int = 4,
+    *,
+    threshold: float = 0.75,
+    containment_threshold: float = 0.9,
 ) -> set[tuple[int, int]]:
-    """Every candidate pair ``(a, b)``, ``a < b``, of dedup blocking.
+    """Every candidate pair ``(a, b)``, ``a < b``, of the dedup prefix filter.
 
-    A record's rare keys are its BLOCKING_KEYS shingles of lowest corpus
-    frequency, ties broken by the shingle string; ``{a, b}`` is a
-    candidate when a rare key of either is a shingle of the other.
+    A record of ``s`` shingles matches a partner of ``s`` or more only if
+    they share some ``o`` shingles with which an equal-size partner, the
+    most similar one can be, passes a threshold.  Its prefix is its first
+    ``s - o + 1`` shingles for the least such ``o``, found by trying
+    every ``o``, in order of corpus frequency, ties broken by the shingle
+    string (an empty record has an empty prefix).  ``{a, b}`` is a
+    candidate when the prefix of the smaller record in ``(size, index)``
+    order meets the other's set.
     """
     shingles = [set(title_shingles(t, shingle_size)) for t in titles]
     frequency = Counter(s for record in shingles for s in record)
-    rare = [
-        set(sorted(record, key=lambda s: (frequency[s], s))[:BLOCKING_KEYS])
-        for record in shingles
-    ]
+    prefixes = []
+    for record in shingles:
+        size = len(record)
+        overlap = min(
+            (o for o in range(1, size + 1)
+             if o / size >= containment_threshold
+             or o / (size + size - o) >= threshold),
+            default=size + 1,
+        )
+        ordered = sorted(record, key=lambda s: (frequency[s], s))
+        prefixes.append(set(ordered[: size - overlap + 1]))
     n = len(titles)
     return {
         (a, b)
         for a in range(n)
         for b in range(a + 1, n)
-        if rare[a] & shingles[b] or rare[b] & shingles[a]
+        if (prefixes[b] & shingles[a] if len(shingles[b]) < len(shingles[a])
+            else prefixes[a] & shingles[b])
     }
+
+
+def _cluster_pairs(
+    titles: list[str],
+    years: list[int | None],
+    pairs,
+    *,
+    threshold: float,
+    containment_threshold: float,
+    shingle_size: int,
+    year_slack: int,
+) -> list[list[int]]:
+    """Score *pairs*, then cluster by connected components.
+
+    Clusters come in the kernel's layout: ascending index lists of size
+    >= 2, ordered by first member.
+    """
+    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
+    neighbours: dict[int, set[int]] = {i: set() for i in range(len(titles))}
+    for a, b in pairs:
+        if not shingles[a] or not shingles[b]:
+            continue
+        ya, yb = years[a], years[b]
+        if ya is not None and yb is not None and abs(ya - yb) > year_slack:
+            continue
+        common = len(shingles[a] & shingles[b])
+        union = len(shingles[a]) + len(shingles[b]) - common
+        containment = common / min(len(shingles[a]), len(shingles[b]))
+        if common / union >= threshold or containment >= containment_threshold:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    seen: set[int] = set()
+    clusters: list[list[int]] = []
+    for start in range(len(titles)):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for nxt in neighbours[frontier.pop()] - component:
+                component.add(nxt)
+                frontier.append(nxt)
+        seen |= component
+        if len(component) >= 2:
+            clusters.append(sorted(component))
+    return clusters
 
 
 def cluster_titles_reference(
@@ -592,33 +655,38 @@ def cluster_titles_reference(
     Returns ``(clusters, pairs_scored)`` in the kernel's layout: ascending
     index lists of size >= 2, ordered by first member.
     """
-    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
-    pairs = dedup_candidates_reference(titles, shingle_size)
-    neighbours: dict[int, set[int]] = {i: set() for i in range(len(titles))}
-    for a, b in pairs:
-        ya, yb = years[a], years[b]
-        if ya is not None and yb is not None and abs(ya - yb) > year_slack:
-            continue
-        common = len(shingles[a] & shingles[b])
-        jaccard = common / len(shingles[a] | shingles[b])
-        containment = common / min(len(shingles[a]), len(shingles[b]))
-        if jaccard >= threshold or containment >= containment_threshold:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-    seen: set[int] = set()
-    clusters: list[list[int]] = []
-    for start in range(len(titles)):
-        if start in seen:
-            continue
-        component, frontier = {start}, [start]
-        while frontier:
-            for nxt in neighbours[frontier.pop()] - component:
-                component.add(nxt)
-                frontier.append(nxt)
-        seen |= component
-        if len(component) >= 2:
-            clusters.append(sorted(component))
+    pairs = dedup_candidates_reference(
+        titles, shingle_size, threshold=threshold,
+        containment_threshold=containment_threshold,
+    )
+    clusters = _cluster_pairs(
+        titles, years, pairs, threshold=threshold,
+        containment_threshold=containment_threshold,
+        shingle_size=shingle_size, year_slack=year_slack,
+    )
     return clusters, len(pairs)
+
+
+def cluster_titles_all_pairs(
+    titles: list[str],
+    years: list[int | None],
+    *,
+    threshold: float = 0.75,
+    containment_threshold: float = 0.9,
+    shingle_size: int = 4,
+    year_slack: int = 1,
+) -> list[list[int]]:
+    """Score every pair of records, year gate included, and cluster.
+
+    No candidate filter: the clusters the kernel must find.
+    """
+    n = len(titles)
+    return _cluster_pairs(
+        titles, years,
+        ((a, b) for a in range(n) for b in range(a + 1, n)),
+        threshold=threshold, containment_threshold=containment_threshold,
+        shingle_size=shingle_size, year_slack=year_slack,
+    )
 
 
 # -- corpus store aggregates ----------------------------------------------------

@@ -5,11 +5,12 @@ Pins, as literal values, what :meth:`CorpusStore.deduplicate` and
 surviving record (all fields, in order), the cluster and drop counts,
 the store's ``pairs_scored`` and a digest of the in-memory cluster
 membership.  The corpus is ~3k records with a wide title vocabulary and
-planted duplicates, plus the edge cases blocking must survive:
+planted duplicates, plus the edge cases the prefix filter must survive:
 non-ASCII titles, year-less records, titles of four characters or
-fewer, and titles that normalize to nothing.  A change to blocking,
-rare-key order, scoring, the year gate or the merge policy moves at
-least one of these values.
+fewer, and titles that normalize to nothing.  A change to the prefix
+filter, rarest-first order, scoring, the year gate or the merge policy
+moves at least one of these values, and an all-pairs scan must find the
+kernel's clusters.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ from __future__ import annotations
 import random
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.dedup import find_duplicates
+from repro.corpus.dedup import cluster_titles, find_duplicates
 from repro.corpus.publication import Publication
 from repro.corpus.store import CorpusStore
 from repro.pipeline.cache import stable_digest
+from tests.oracles import cluster_titles_all_pairs
 
 #: (surviving-records digest, clusters, dropped, pairs_scored)
 STORE_GOLDEN = (
     "71639b481fddb5186702a2d3afdea6a9c6b751c23ddf7eeb1c3097478719ff65",
     196,
     232,
-    7915,
+    2659,
 )
 #: (surviving-records digest, cluster-membership digest, clusters, dropped)
 CORPUS_GOLDEN = (
@@ -169,3 +171,12 @@ def test_corpus_dedup_golden():
         len(clusters),
         len(corpus) - len(deduped),
     ) == CORPUS_GOLDEN
+
+
+def test_all_pairs_oracle_finds_the_kernel_clusters():
+    records = golden_records()
+    titles = [p.normalized_title for p in records]
+    years = [p.year for p in records]
+    clusters, _ = cluster_titles(titles, years)
+    assert len(clusters) == CORPUS_GOLDEN[2]
+    assert clusters == cluster_titles_all_pairs(titles, years)

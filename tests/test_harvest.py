@@ -5,6 +5,8 @@ import pytest
 from repro.core.protocol import ResearchQuestion, StudyProtocol
 from repro.core.study import MappingStudy, StudyStage
 from repro.core.taxonomy import workflow_directions
+from repro.corpus.corpus import Corpus
+from repro.corpus.store import CorpusStore
 from repro.data.icsc import icsc_applications, icsc_institutions, icsc_tools
 from repro.data.synthetic import synthetic_corpus
 from repro.errors import StudyError
@@ -66,6 +68,20 @@ class TestHarvest:
         # Collection still works afterwards.
         study.collect(icsc_institutions(), icsc_tools(), icsc_applications())
         assert study.stage is StudyStage.COLLECTED
+
+    def test_harvest_leaves_a_store_unchanged(self):
+        records = list(synthetic_corpus(200, seed=1))
+        store = CorpusStore()
+        store.extend(records)
+        keys = store.keys
+        from_store = MappingStudy(_protocol()).harvest(store)
+        from_corpus = MappingStudy(_protocol()).harvest(Corpus(records))
+        assert (len(store), store.keys) == (200, keys)
+        assert [
+            (stage.name, stage.count) for stage in from_store.flow.stages
+        ] == [
+            (stage.name, stage.count) for stage in from_corpus.flow.stages
+        ]
 
     def test_harvest_after_collect_rejected(self):
         study = MappingStudy(_protocol())

@@ -8,7 +8,7 @@ from repro.corpus.dedup import cluster_titles, find_duplicates, merge_cluster
 from repro.corpus.publication import Publication, normalize_title
 from repro.corpus.query import Query
 from repro.errors import QueryError
-from tests.oracles import cluster_titles_reference
+from tests.oracles import cluster_titles_all_pairs, cluster_titles_reference
 
 words = st.sampled_from(
     "workflow orchestration scheduling energy cloud edge hpc data stream "
@@ -23,6 +23,44 @@ kernel_titles = st.lists(
                      "grid", "edge", "cloud", "stream", "é", "data"]),
     max_size=7,
 ).map(lambda parts: normalize_title(" ".join(parts)))
+years = st.sampled_from([None, 2000, 2001, 2003])
+# Long titles (over 66 normalized characters, so more than 63 4-gram
+# shingles): up to three shared stems, each record ending in its own
+# spelling of four suffix words.
+_SPELLINGS = (("workflowz", "workflows"), ("kubernetz", "kubernetes"),
+              ("pipelinez", "pipelines"), ("schedulerz", "schedulers"))
+long_stems = st.lists(words, min_size=7, max_size=12).map(" ".join)
+
+
+@st.composite
+def long_variant_records(draw):
+    stems = draw(st.lists(long_stems, min_size=1, max_size=3))
+    return [
+        (normalize_title(" ".join(
+            [stem] + [draw(st.sampled_from(pair)) for pair in _SPELLINGS]
+        )), year)
+        for stem, year in draw(st.lists(
+            st.tuples(st.sampled_from(stems), years), max_size=12
+        ))
+    ]
+
+
+knob_grid = st.fixed_dictionaries({
+    "threshold": st.sampled_from([0.5, 0.75, 1.0]),
+    "containment_threshold": st.sampled_from([0.6, 0.9, 1.0]),
+    "shingle_size": st.sampled_from([2, 3, 4]),
+    "year_slack": st.sampled_from([0, 1]),
+})
+
+
+def assert_kernel_matches_oracles(records, knobs):
+    titles = [title for title, _ in records]
+    years = [year for _, year in records]
+    clusters, pairs_scored = cluster_titles(titles, years, **knobs)
+    assert (clusters, pairs_scored) == (
+        cluster_titles_reference(titles, years, **knobs)
+    )
+    assert clusters == cluster_titles_all_pairs(titles, years, **knobs)
 
 
 class TestDedupProperties:
@@ -62,28 +100,16 @@ class TestDedupProperties:
         b = Publication(key="b", title=title, year=2020)
         assert len(find_duplicates([a, b])) == 1
 
-    @given(
-        st.lists(
-            st.tuples(kernel_titles,
-                      st.sampled_from([None, 2000, 2001, 2003])),
-            max_size=30,
-        ),
-        st.sampled_from([0.5, 0.75, 1.0]),
-        st.sampled_from([0.6, 0.9, 1.0]),
-        st.sampled_from([2, 3, 4]),
-        st.sampled_from([0, 1]),
-    )
+    @given(st.lists(st.tuples(kernel_titles, years), max_size=30), knob_grid)
     @settings(max_examples=150, deadline=None)
-    def test_kernel_matches_pair_oracle(
-        self, records, threshold, containment, shingle_size, year_slack
-    ):
-        titles = [title for title, _ in records]
-        years = [year for _, year in records]
-        knobs = dict(threshold=threshold, containment_threshold=containment,
-                     shingle_size=shingle_size, year_slack=year_slack)
-        assert cluster_titles(titles, years, **knobs) == (
-            cluster_titles_reference(titles, years, **knobs)
-        )
+    def test_kernel_matches_pair_oracle(self, records, knobs):
+        assert_kernel_matches_oracles(records, knobs)
+
+    @given(long_variant_records(), knob_grid)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_oracles_on_long_variants(self, records, knobs):
+        assert all(len(title) > 66 for title, _ in records)
+        assert_kernel_matches_oracles(records, knobs)
 
 
 class TestQueryProperties:
