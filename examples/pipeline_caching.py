@@ -7,8 +7,9 @@ Runs the ICSC study through :mod:`repro.pipeline` three ways:
 2. a *warm* run against the same cache — zero stages execute, the
    results come straight off the content-addressed artifacts;
 3. a *resumed* run — a fresh cache is interrupted mid-pipeline (the
-   survey stage "crashes"), then re-run: the stages that completed
-   before the crash are skipped, only the tail re-executes.
+   survey stage "crashes"), then re-run on a new cache object over the
+   same directory: the artifacts stored before the crash are all the
+   run needs to skip those stages, so only the tail re-executes.
 
 Run with::
 
@@ -24,7 +25,6 @@ from repro.errors import StageExecutionError
 from repro.pipeline import (
     ArtifactCache,
     Pipeline,
-    RunManifest,
     Stage,
     build_icsc_pipeline,
     run_icsc_pipeline,
@@ -54,10 +54,9 @@ def main() -> None:
     assert warm_results.q3.top_direction == results.q3.top_direction
 
     # 3. Crash and resume: interrupt the pipeline after `collect` and
-    #    `classify`, then rerun — the manifest + cache pick up from there.
-    crash_cache = ArtifactCache(cache_dir / "resume-demo")
-    crash_cache.clear()
-    manifest = RunManifest(cache_dir / "resume-demo" / "run.json")
+    #    `classify`, then rerun — the cache alone picks up from there.
+    resume_dir = cache_dir / "resume-demo"
+    ArtifactCache(resume_dir).clear()
     pipeline = build_icsc_pipeline()
 
     def crashing_survey(inputs, **params):
@@ -74,12 +73,17 @@ def main() -> None:
         version=pipeline.version,
     )
     try:
-        broken.run(["analyze"], cache=crash_cache, manifest=manifest)
+        broken.run(["analyze"], cache=ArtifactCache(resume_dir))
     except StageExecutionError:
-        done = ", ".join(sorted(manifest.completed))
-        print(f"interrupted run crashed at 'survey'; manifest recorded: {done}")
+        # A new process would see only the directory: so does a new cache.
+        on_disk = ArtifactCache(resume_dir)
+        done = ", ".join(
+            name for name, key in pipeline.stage_keys().items()
+            if key in on_disk
+        )
+        print(f"interrupted run crashed at 'survey'; cache holds: {done}")
 
-    resumed = pipeline.run(["analyze"], cache=crash_cache, manifest=manifest)
+    resumed = pipeline.run(["analyze"], cache=ArtifactCache(resume_dir))
     print(f"resumed run executed only: {', '.join(resumed.executed)} "
           f"(skipped: {', '.join(resumed.cached)})")
     assert resumed["analyze"].q3.top_direction == "orchestration"

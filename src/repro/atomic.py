@@ -1,9 +1,10 @@
 """Atomic file replacement, the one temp-file writer behind every ledger.
 
-The artifact cache, the run manifest and the run ledger's ``gc`` each
-write a temp file beside the target and move it into place with one
-``os.replace``, so a crash leaves the old file or the new one, never a
-torn one.
+The artifact cache and the run ledger's ``gc`` each write a temp file
+beside the target and move it into place with one ``os.replace``, so a
+crash leaves the old file or the new one, never a torn one.  The cache
+is also the pipeline's resume record: a stage counts as finished once
+its artifact is in place.
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ similarity, and clusters matches with a union-find structure:
    are compatible with everything).
 3. **Clustering** — union-find over pairs passing either measure.
 
+Only the Jaccard ``threshold`` is a parameter; the containment threshold,
+shingle size and year slack are the module constants
+:data:`CONTAINMENT_THRESHOLD`, :data:`SHINGLE_SIZE` and
+:data:`YEAR_SLACK`, so every entry point takes the same one knob.
+
 :func:`find_duplicates` runs the kernel over :class:`Publication`
 records; :meth:`repro.corpus.store.CorpusStore.deduplicate` runs it over
 the rows of one ``SELECT`` and merges in SQL.
@@ -33,15 +38,27 @@ from repro.corpus.publication import Publication
 from repro.errors import CorpusError
 
 __all__ = [
+    "CONTAINMENT_THRESHOLD",
+    "SHINGLE_SIZE",
+    "YEAR_SLACK",
     "DuplicateCluster",
     "cluster_titles",
     "find_duplicates",
     "merge_cluster",
     "pair_similarity",
     "title_shingles",
-    "validate_dedup_params",
     "years_compatible",
 ]
+
+#: Minimum shingle containment ``|A∩B| / min(|A|,|B|)`` for a match
+#: (subtitle truncation); a pair merges when either measure passes.
+CONTAINMENT_THRESHOLD = 0.9
+#: Character n-gram size for title shingling.
+SHINGLE_SIZE = 4
+#: Maximum year difference still considered the same work (preprint vs.
+#: camera-ready).
+YEAR_SLACK = 1
+
 
 class _UnionFind:
     def __init__(self, n: int) -> None:
@@ -67,23 +84,25 @@ class _UnionFind:
             self.rank[ra] += 1
 
 
-def title_shingles(normalized_title: str, k: int = 4) -> frozenset[str]:
-    """Character *k*-gram shingles of a normalized title."""
+def title_shingles(normalized_title: str) -> frozenset[str]:
+    """Character :data:`SHINGLE_SIZE`-gram shingles of a normalized title."""
     text = normalized_title.replace(" ", "_")
+    k = SHINGLE_SIZE
     if len(text) <= k:
         return frozenset((text,)) if text else frozenset()
     return frozenset([text[i : i + k] for i in range(len(text) - k + 1)])
 
 
-def years_compatible(a: int | None, b: int | None, slack: int = 1) -> bool:
+def years_compatible(a: int | None, b: int | None) -> bool:
     """Whether two publication years may belong to the same work.
 
     Missing years are compatible with everything; otherwise the absolute
-    difference must be within *slack* (preprint vs camera-ready).
+    difference must be within :data:`YEAR_SLACK` (preprint vs
+    camera-ready).
     """
     if a is None or b is None:
         return True
-    return abs(a - b) <= slack
+    return abs(a - b) <= YEAR_SLACK
 
 
 def pair_similarity(
@@ -104,23 +123,6 @@ def pair_similarity(
     )
 
 
-def validate_dedup_params(
-    threshold: float, containment_threshold: float, shingle_size: int,
-    year_slack: int,
-) -> None:
-    """Validate shared dedup knobs (raises :class:`CorpusError`)."""
-    if not 0 < threshold <= 1:
-        raise CorpusError(f"threshold must be in (0, 1], got {threshold}")
-    if not 0 < containment_threshold <= 1:
-        raise CorpusError(
-            f"containment_threshold must be in (0, 1], got {containment_threshold}"
-        )
-    if shingle_size < 2:
-        raise CorpusError(f"shingle_size must be >= 2, got {shingle_size}")
-    if not isinstance(year_slack, int) or year_slack < 0:
-        raise CorpusError(f"year_slack must be an int >= 0, got {year_slack}")
-
-
 DuplicateCluster = tuple[Publication, ...]
 
 
@@ -129,9 +131,6 @@ def cluster_titles(
     years: Sequence[int | None],
     *,
     threshold: float = 0.75,
-    containment_threshold: float = 0.9,
-    shingle_size: int = 4,
-    year_slack: int = 1,
 ) -> tuple[list[list[int]], int]:
     """Cluster near-duplicate records given by index.
 
@@ -142,8 +141,9 @@ def cluster_titles(
         returns them.
     years:
         Publication years, aligned with *titles*; ``None`` when unknown.
-    threshold, containment_threshold, shingle_size, year_slack:
-        As for :func:`find_duplicates`.
+    threshold:
+        As for :func:`find_duplicates`; :class:`CorpusError` unless in
+        ``(0, 1]``.
 
     Returns
     -------
@@ -154,16 +154,15 @@ def cluster_titles(
 
     Memory is O(records): one tuple of interned shingles per record, and
     no set of seen pairs.  ``o_min(s)`` is the least overlap ``o`` that
-    passes ``o / s >= containment_threshold`` or, against an equal-size
+    passes ``o / s >= CONTAINMENT_THRESHOLD`` or, against an equal-size
     partner (the most similar a larger one can be), ``o / (2*s - o) >=
     threshold``: the scoring's own expressions.  Records are visited in
     ``(size, index)`` order; each probes the blocks with its full set,
     scores every record indexed there, then indexes its prefix, so each
     pair is scored once, from its larger record.
     """
-    validate_dedup_params(
-        threshold, containment_threshold, shingle_size, year_slack
-    )
+    if not 0 < threshold <= 1:
+        raise CorpusError(f"threshold must be in (0, 1], got {threshold}")
     n = len(titles)
     # One string object per distinct shingle: setdefault(s, s) returns
     # the first copy seen.
@@ -171,7 +170,7 @@ def cluster_titles(
     records = [
         tuple(map(interned.setdefault, shingles, shingles))
         for shingles in (
-            title_shingles(title, shingle_size) for title in titles
+            title_shingles(title) for title in titles
         )
     ]
     del interned
@@ -182,7 +181,7 @@ def cluster_titles(
     prefix_length = {
         size: size + 1 - next((
             o for o in range(1, size + 1)
-            if o / size >= containment_threshold
+            if o / size >= CONTAINMENT_THRESHOLD
             or o / (2 * size - o) >= threshold
         ), size + 1)
         for size in set(map(len, records))
@@ -197,10 +196,10 @@ def cluster_titles(
         partners = set().union(*map(blocks.__getitem__, blocks.keys() & probe))
         pairs_scored += len(partners)
         for y in partners:
-            if not years_compatible(years[x], years[y], year_slack):
+            if not years_compatible(years[x], years[y]):
                 continue
             jaccard, containment = pair_similarity(probe, records[y])
-            if jaccard >= threshold or containment >= containment_threshold:
+            if jaccard >= threshold or containment >= CONTAINMENT_THRESHOLD:
                 union_find.union(x, y)
         # Rarest first, ties by the shingle string: a stable sort by
         # frequency over the string-sorted shingles.
@@ -221,9 +220,6 @@ def find_duplicates(
     publications: Sequence[Publication],
     *,
     threshold: float = 0.75,
-    containment_threshold: float = 0.9,
-    shingle_size: int = 4,
-    year_slack: int = 1,
 ) -> list[DuplicateCluster]:
     """Cluster near-duplicate records.
 
@@ -233,15 +229,9 @@ def find_duplicates(
         The corpus to scan.
     threshold:
         Minimum shingle-Jaccard similarity for a match (case/spelling
-        variants).
-    containment_threshold:
-        Minimum shingle containment ``|A∩B| / min(|A|,|B|)`` for a match
-        (subtitle truncation); a pair merges when *either* measure passes.
-    shingle_size:
-        Character n-gram size for title shingling.
-    year_slack:
-        Maximum year difference still considered the same work (preprint
-        vs. camera-ready).
+        variants); a pair also merges when its containment reaches
+        :data:`CONTAINMENT_THRESHOLD`, and never when its years differ
+        by more than :data:`YEAR_SLACK`.
 
     Returns
     -------
@@ -253,9 +243,6 @@ def find_duplicates(
         [pub.normalized_title for pub in publications],
         [pub.year for pub in publications],
         threshold=threshold,
-        containment_threshold=containment_threshold,
-        shingle_size=shingle_size,
-        year_slack=year_slack,
     )
     return [tuple(publications[i] for i in members) for members in clusters]
 

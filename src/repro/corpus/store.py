@@ -674,9 +674,6 @@ class CorpusStore:
         self,
         *,
         threshold: float = 0.75,
-        containment_threshold: float = 0.9,
-        shingle_size: int = 4,
-        year_slack: int = 1,
     ) -> DedupSummary:
         """Merge near-duplicate clusters in place.
 
@@ -701,9 +698,6 @@ class CorpusStore:
                     [normalize_title(title) for _, title, _ in rows],
                     [year for _, _, year in rows],
                     threshold=threshold,
-                    containment_threshold=containment_threshold,
-                    shingle_size=shingle_size,
-                    year_slack=year_slack,
                 )
                 duplicate_clusters = [
                     [rows[i][0] for i in members] for members in clusters

@@ -6,8 +6,9 @@ it produced*.  Three ingredient groups:
 
 * **identity** — run id, UTC timestamp, run kind, the
   :func:`repro.data.icsc.dataset_version` fingerprint, and the pipeline
-  configuration digest (:meth:`~repro.pipeline.runner.Pipeline.run_key`),
-  so a comparison never silently spans a code/data change;
+  configuration digest (``stable_digest({"stages": run.keys})`` over the
+  :class:`~repro.pipeline.runner.PipelineResult` stage keys), so a
+  comparison never silently spans a code/data change;
 * **performance** — per-stage wall/CPU durations, execution vs
   cache-hit counts, and hit ratios lifted from a
   :class:`repro.telemetry.Telemetry` span tree (via
@@ -55,7 +56,6 @@ _LEDGER_METRICS = (
     "cache.misses",
     "cache.stores",
     "cache.evictions",
-    "manifest.writes",
     "sim.events",
     "sim.tasks",
     "sim.failures_injected",

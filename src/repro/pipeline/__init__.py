@@ -4,12 +4,11 @@ The substrate the rest of the library runs on:
 
 * :mod:`repro.pipeline.runner` — :class:`Stage`/:class:`Pipeline`, a DAG
   runner with content-addressed skipping that executes stages one at a
-  time in a deterministic topological order;
+  time in a deterministic topological order and stores each artifact as
+  it lands, so an interrupted run resumes from the cache;
 * :mod:`repro.pipeline.cache` — :class:`ArtifactCache`, a two-layer
   (memory + optional disk) content-addressed artifact store, and
   :func:`stable_digest`, the canonical hashing primitive;
-* :mod:`repro.pipeline.manifest` — :class:`RunManifest`, the crash-safe
-  ledger behind resume;
 * :mod:`repro.pipeline.study` — the ICSC study DAG
   (``collect → {classify, survey} → analyze [→ render]``) that
   :func:`repro.run_icsc_study`, the CLI, and the reporting layer share.
@@ -32,7 +31,6 @@ Quickstart
 """
 
 from repro.pipeline.cache import ArtifactCache, stable_digest
-from repro.pipeline.manifest import RunManifest
 from repro.pipeline.runner import Pipeline, PipelineResult, Stage
 from repro.pipeline.study import (
     build_icsc_pipeline,
@@ -45,7 +43,6 @@ __all__ = [
     "ArtifactCache",
     "Pipeline",
     "PipelineResult",
-    "RunManifest",
     "Stage",
     "build_icsc_pipeline",
     "render_icsc_artifacts",

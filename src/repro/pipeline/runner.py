@@ -11,9 +11,10 @@ parameters, which buys three properties for free:
   stage with no loss of fidelity;
 * **deterministic execution** — stages that must run execute one at a
   time in stable topological order;
-* **crash-safe resume** — a :class:`~repro.pipeline.manifest.RunManifest`
-  records each completion as it happens, so a re-run after an interruption
-  restarts from the last finished stage.
+* **crash-safe resume** — each finished stage's artifact is stored
+  atomically in the cache as soon as it completes, so a re-run after an
+  interruption finds those keys and restarts from the last finished
+  stage; the cache is the only record of progress.
 
 Passing ``telemetry=`` (a :class:`repro.telemetry.Telemetry`) records a
 span per stage — wall time, per-thread CPU time, executed-vs-cached
@@ -46,7 +47,6 @@ from repro.errors import (
     StageExecutionError,
 )
 from repro.pipeline.cache import ArtifactCache, stable_digest
-from repro.pipeline.manifest import RunManifest
 from repro.telemetry.hooks import Telemetry, ensure as _ensure_telemetry
 
 __all__ = ["Stage", "Pipeline", "PipelineResult"]
@@ -128,9 +128,9 @@ class Pipeline:
         The stages; dependency names must refer to other stages in the
         same pipeline and the graph must be acyclic.
     name, version:
-        Identify the pipeline (and its code generation) inside cache keys
-        and the run key, so two different pipelines never collide in a
-        shared cache.
+        Identify the pipeline (and its code generation) inside cache
+        keys, so two different pipelines never collide in a shared
+        cache.
     """
 
     def __init__(
@@ -215,11 +215,6 @@ class Pipeline:
             )
         return keys
 
-    def run_key(self) -> str:
-        """Digest of the whole pipeline configuration (for manifests)."""
-        keys = self.stage_keys()
-        return stable_digest({"pipeline": self.name, "stages": keys})
-
     def _closure(self, targets: Sequence[str]) -> set[str]:
         needed: set[str] = set()
         frontier = list(targets)
@@ -240,7 +235,6 @@ class Pipeline:
         targets: Sequence[str] | None = None,
         *,
         cache: ArtifactCache | None = None,
-        manifest: RunManifest | None = None,
         telemetry: Telemetry | None = None,
     ) -> PipelineResult:
         """Execute the pipeline and return a :class:`PipelineResult`.
@@ -253,36 +247,27 @@ class Pipeline:
         cache:
             Artifact cache consulted before executing any stage.  When
             omitted, an ephemeral in-memory cache still deduplicates
-            within the run.
-        manifest:
-            Optional run ledger for crash-safe resume; bound to this
-            pipeline's :meth:`run_key` (a manifest of a different
-            configuration is discarded).
+            within the run.  Each stage's artifact is stored as soon as
+            the stage finishes, so re-running on the same on-disk cache
+            after an interruption resumes from the last finished stage.
         telemetry:
             Optional :class:`~repro.telemetry.Telemetry`: records a span
             per stage (plus the run and cache-hit events) and the
             pipeline metrics.  The default ``None`` is a shared no-op
             whose overhead is a few attribute lookups per stage (guarded
             by ``benchmarks/test_bench_telemetry.py``).  While the run
-            is traced, an unbound *cache*/*manifest* is temporarily
-            bound to the same telemetry so ``cache.*`` and
-            ``manifest.*`` metrics land in one registry.
+            is traced, an unbound *cache* is temporarily bound to the
+            same telemetry so ``cache.*`` metrics land in one registry.
         """
         tel = _ensure_telemetry(telemetry)
         if targets is None:
             targets = list(self.stages)
         cache = cache if cache is not None else ArtifactCache()
 
-        # Bind collaborators to this run's telemetry (restored on exit).
-        rebind = []
-        if tel.enabled:
-            for collaborator in (cache, manifest):
-                if (
-                    collaborator is not None
-                    and getattr(collaborator, "telemetry", None) is None
-                ):
-                    collaborator.telemetry = tel
-                    rebind.append(collaborator)
+        # Bind the cache to this run's telemetry (restored on exit).
+        rebind = tel.enabled and getattr(cache, "telemetry", None) is None
+        if rebind:
+            cache.telemetry = tel
         try:
             with tel.tracer.span(
                 "pipeline.run",
@@ -290,25 +275,20 @@ class Pipeline:
                 version=self.version,
                 targets=tuple(targets),
             ) as run_span:
-                return self._run_traced(
-                    targets, cache, manifest, tel, run_span
-                )
+                return self._run_traced(targets, cache, tel, run_span)
         finally:
-            for collaborator in rebind:
-                collaborator.telemetry = None
+            if rebind:
+                cache.telemetry = None
 
     def _run_traced(
         self,
         targets: Sequence[str],
         cache: ArtifactCache,
-        manifest: RunManifest | None,
         tel: Telemetry,
         run_span,
     ) -> PipelineResult:
         """The :meth:`run` body, executing under the run-level span."""
         keys = self.stage_keys()
-        if manifest is not None:
-            manifest.begin(self.run_key())
 
         needed = self._closure(targets)
         order = [name for name in self._order if name in needed]
@@ -415,8 +395,6 @@ class Pipeline:
             cache.store(keys[name], value)
             results[name] = value
             executed.append(name)
-            if manifest is not None:
-                manifest.mark_complete(name, keys[name])
 
         # Materialize cached inputs of stages that will run.
         running = set(must_run)

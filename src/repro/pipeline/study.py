@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.manifest import RunManifest
 from repro.pipeline.runner import Pipeline, PipelineResult, Stage
 
 __all__ = [
@@ -226,7 +225,6 @@ def run_icsc_pipeline(
     seed: int = 2023,
     check_with_classifier: bool = True,
     cache: ArtifactCache | None = None,
-    manifest: RunManifest | None = None,
     telemetry=None,
     registry=None,
 ) -> tuple[Any, PipelineResult]:
@@ -250,7 +248,6 @@ def run_icsc_pipeline(
     run = pipeline.run(
         ["analyze"],
         cache=cache if cache is not None else process_cache(),
-        manifest=manifest,
         telemetry=telemetry,
     )
     results = run["analyze"]
@@ -273,7 +270,6 @@ def render_icsc_artifacts(
     *,
     spoke1: bool = True,
     cache: ArtifactCache | None = None,
-    manifest: RunManifest | None = None,
     telemetry=None,
 ) -> dict[str, Path]:
     """Render the full artifact set through the cached pipeline.
@@ -287,7 +283,6 @@ def render_icsc_artifacts(
     run = pipeline.run(
         ["render"],
         cache=cache if cache is not None else process_cache(),
-        manifest=manifest,
         telemetry=telemetry,
     )
     return {name: Path(path) for name, path in run["render"].items()}

@@ -4,7 +4,11 @@
 both derive from :data:`SWEEP_PARAMS`: :func:`add_options` generates the
 CLI options, and :func:`check_request` validates a parsed command line
 and a JSON body alike (``MonteCarloError``: CLI exit 1, HTTP 400) before
-any fleet is built or any process starts.  The module imports neither
+any fleet is built or any process starts.  Upper bounds keep one
+request's cost in reach of a shared server: ``fleet`` at most 1,000
+workflows (building that fleet alone took 0.8 s CPU and 32 MB on a
+2-core VM), and ``replications``/``max_replications`` at most 100,000
+per cell (about 5 s of replay per cell for a 50-task workflow).  The module imports neither
 numpy nor :mod:`repro.continuum`: every ``repro serve`` boot builds the
 CLI parser, which imports it.
 """
@@ -65,11 +69,11 @@ SWEEP_PARAMS: tuple[Param, ...] = (
           "(floats), policy (restart|migrate); omitted axes default to "
           "scheduler=heft;mtbf=none;jitter=0;policy=restart", "SPEC"),
     Param("fleet", int, 3,
-          "synthetic workflows in the fleet (default %(default)s)", "N",
-          low=1),
+          "synthetic workflows in the fleet, 1 to 1000 (default "
+          "%(default)s)", "N", low=1, high=lambda: 1_000),
     Param("replications", int, 100,
-          "Monte-Carlo replications per grid cell (default %(default)s)",
-          "R", low=1),
+          "Monte-Carlo replications per grid cell, 1 to 100000 (default "
+          "%(default)s)", "R", low=1, high=lambda: 100_000),
     Param("seed", int, 0, "sweep seed (default %(default)s)", "S", low=0),
     Param("target_ci", float, None,
           "adaptive mode: stop each cell once the 95%% confidence "
@@ -77,8 +81,9 @@ SWEEP_PARAMS: tuple[Param, ...] = (
           "0.02) instead of running a fixed count; noisy cells run up to "
           "--max-replications", "CI"),
     Param("max_replications", int, None,
-          "replication cap per cell in adaptive mode (default: "
-          "--replications; requires --target-ci)", "R", low=1),
+          "replication cap per cell in adaptive mode, 1 to 100000 "
+          "(default: --replications; requires --target-ci)", "R", low=1,
+          high=lambda: 100_000),
     # Last: it sizes the process pool, which starts all its workers up
     # front, not the experiment.
     Param("workers", int, 0,

@@ -51,7 +51,6 @@ PIPELINE_METRICS = {
     "cache.stores": "counter",
     "cache.evictions": "counter",
     "cache.bytes_written": "counter",
-    "manifest.writes": "counter",
 }
 
 

@@ -52,7 +52,11 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.simulate import ExecutionTrace
 from repro.continuum.workflow import Workflow
-from repro.corpus.dedup import title_shingles
+from repro.corpus.dedup import (
+    CONTAINMENT_THRESHOLD,
+    YEAR_SLACK,
+    title_shingles,
+)
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import ContinuumError, CorpusError, SchedulingError
 from repro.stats.frequency import FrequencyTable
@@ -556,11 +560,7 @@ def _replay(
 
 
 def dedup_candidates_reference(
-    titles: list[str],
-    shingle_size: int = 4,
-    *,
-    threshold: float = 0.75,
-    containment_threshold: float = 0.9,
+    titles: list[str], *, threshold: float = 0.75
 ) -> set[tuple[int, int]]:
     """Every candidate pair ``(a, b)``, ``a < b``, of the dedup prefix filter.
 
@@ -573,14 +573,14 @@ def dedup_candidates_reference(
     candidate when the prefix of the smaller record in ``(size, index)``
     order meets the other's set.
     """
-    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
+    shingles = [set(title_shingles(t)) for t in titles]
     frequency = Counter(s for record in shingles for s in record)
     prefixes = []
     for record in shingles:
         size = len(record)
         overlap = min(
             (o for o in range(1, size + 1)
-             if o / size >= containment_threshold
+             if o / size >= CONTAINMENT_THRESHOLD
              or o / (size + size - o) >= threshold),
             default=size + 1,
         )
@@ -602,27 +602,24 @@ def _cluster_pairs(
     pairs,
     *,
     threshold: float,
-    containment_threshold: float,
-    shingle_size: int,
-    year_slack: int,
 ) -> list[list[int]]:
     """Score *pairs*, then cluster by connected components.
 
     Clusters come in the kernel's layout: ascending index lists of size
     >= 2, ordered by first member.
     """
-    shingles = [set(title_shingles(t, shingle_size)) for t in titles]
+    shingles = [set(title_shingles(t)) for t in titles]
     neighbours: dict[int, set[int]] = {i: set() for i in range(len(titles))}
     for a, b in pairs:
         if not shingles[a] or not shingles[b]:
             continue
         ya, yb = years[a], years[b]
-        if ya is not None and yb is not None and abs(ya - yb) > year_slack:
+        if ya is not None and yb is not None and abs(ya - yb) > YEAR_SLACK:
             continue
         common = len(shingles[a] & shingles[b])
         union = len(shingles[a]) + len(shingles[b]) - common
         containment = common / min(len(shingles[a]), len(shingles[b]))
-        if common / union >= threshold or containment >= containment_threshold:
+        if common / union >= threshold or containment >= CONTAINMENT_THRESHOLD:
             neighbours[a].add(b)
             neighbours[b].add(a)
     seen: set[int] = set()
@@ -646,24 +643,14 @@ def cluster_titles_reference(
     years: list[int | None],
     *,
     threshold: float = 0.75,
-    containment_threshold: float = 0.9,
-    shingle_size: int = 4,
-    year_slack: int = 1,
 ) -> tuple[list[list[int]], int]:
     """Score every candidate pair, then cluster by connected components.
 
     Returns ``(clusters, pairs_scored)`` in the kernel's layout: ascending
     index lists of size >= 2, ordered by first member.
     """
-    pairs = dedup_candidates_reference(
-        titles, shingle_size, threshold=threshold,
-        containment_threshold=containment_threshold,
-    )
-    clusters = _cluster_pairs(
-        titles, years, pairs, threshold=threshold,
-        containment_threshold=containment_threshold,
-        shingle_size=shingle_size, year_slack=year_slack,
-    )
+    pairs = dedup_candidates_reference(titles, threshold=threshold)
+    clusters = _cluster_pairs(titles, years, pairs, threshold=threshold)
     return clusters, len(pairs)
 
 
@@ -672,9 +659,6 @@ def cluster_titles_all_pairs(
     years: list[int | None],
     *,
     threshold: float = 0.75,
-    containment_threshold: float = 0.9,
-    shingle_size: int = 4,
-    year_slack: int = 1,
 ) -> list[list[int]]:
     """Score every pair of records, year gate included, and cluster.
 
@@ -684,8 +668,7 @@ def cluster_titles_all_pairs(
     return _cluster_pairs(
         titles, years,
         ((a, b) for a in range(n) for b in range(a + 1, n)),
-        threshold=threshold, containment_threshold=containment_threshold,
-        shingle_size=shingle_size, year_slack=year_slack,
+        threshold=threshold,
     )
 
 

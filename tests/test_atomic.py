@@ -1,4 +1,4 @@
-"""The one atomic-replace writer and the three ledgers that use it.
+"""The one atomic-replace writer and the two ledgers that use it.
 
 A writer that raises mid-write must leave the old file intact and no
 ``.tmp`` file behind, whichever layer it writes for.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.atomic import atomic_write
 from repro.obs import RunRecord, RunRegistry
-from repro.pipeline import ArtifactCache, RunManifest, stable_digest
+from repro.pipeline import ArtifactCache, stable_digest
 from repro.telemetry import Telemetry
 
 
@@ -64,18 +64,6 @@ class TestLedgersUseIt:
         (artifact,) = tmp_path.glob("*.pkl")
         written = telemetry.metrics.snapshot()["cache.bytes_written"]
         assert written["value"] == artifact.stat().st_size
-
-    def test_manifest_write_failure_keeps_old_ledger(self, tmp_path):
-        path = tmp_path / "run.json"
-        manifest = RunManifest(path).begin("run-key")
-        manifest.mark_complete("collect", "abc")
-        before = path.read_bytes()
-        # A non-string key fails json.dump's sort_keys mid-write.
-        manifest._completed[1] = "x"
-        with pytest.raises(TypeError):
-            manifest.mark_complete("screen", "def")
-        assert path.read_bytes() == before
-        assert _leftovers(tmp_path) == []
 
     def test_registry_gc_failure_keeps_old_ledger(self, tmp_path, monkeypatch):
         registry = RunRegistry(tmp_path)

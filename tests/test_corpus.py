@@ -3,22 +3,15 @@
 import pytest
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.dedup import cluster_titles, find_duplicates, merge_cluster
+from repro.corpus.dedup import find_duplicates, merge_cluster
 from repro.corpus.publication import Publication, make_pub_key, normalize_title
 from repro.corpus.query import Query
-from repro.corpus.store import CorpusStore
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import CorpusError, DuplicateEntityError, QueryError, ValidationError
 
 
 def _pub(key, title, year=2020, **kwargs):
     return Publication(key=key, title=title, year=year, **kwargs)
-
-
-def _store(pubs):
-    store = CorpusStore()
-    store.extend(pubs)
-    return store
 
 
 class TestPublication:
@@ -170,20 +163,6 @@ class TestDedup:
         b = _pub("b", stem + "workflows kubernetes pipelines schedulers")
         assert len(a.normalized_title) == 249
         assert find_duplicates([a, b]) == [(a, b)]
-
-    @pytest.mark.parametrize("entry_point", [
-        lambda pubs: cluster_titles(
-            [p.normalized_title for p in pubs], [p.year for p in pubs],
-            year_slack=-1,
-        ),
-        lambda pubs: find_duplicates(pubs, year_slack=-1),
-        lambda pubs: _store(pubs).deduplicate(year_slack=-1),
-    ], ids=["cluster_titles", "find_duplicates", "CorpusStore.deduplicate"])
-    def test_negative_year_slack_rejected(self, entry_point):
-        pubs = [_pub("a", "Identical title here"),
-                _pub("b", "Identical title here")]
-        with pytest.raises(CorpusError, match="year_slack"):
-            entry_point(pubs)
 
     def test_merge_prefers_richest(self):
         a = _pub("a", "T", abstract="long abstract here", doi="10.1/x",

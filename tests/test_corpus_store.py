@@ -201,12 +201,17 @@ class TestDedupParity:
         store.deduplicate()
         assert list(store) == list(corpus.deduplicate())
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_parity_on_synthetic_with_duplicates(self, seed):
+    @pytest.mark.parametrize("seed, threshold", [
+        pytest.param(0, 0.75, id="0"),
+        pytest.param(3, 0.75, id="3"),
+        pytest.param(3, 0.5, id="3-threshold0.5"),
+        pytest.param(3, 1.0, id="3-threshold1.0"),
+    ])
+    def test_parity_on_synthetic_with_duplicates(self, seed, threshold):
         corpus = synthetic_corpus(120, seed=seed, duplicate_fraction=0.25)
         store = _filled(corpus)
-        summary = store.deduplicate()
-        deduped = corpus.deduplicate()
+        summary = store.deduplicate(threshold=threshold)
+        deduped = corpus.deduplicate(threshold=threshold)
         assert list(store) == list(deduped)
         assert summary.dropped == len(corpus) - len(deduped)
         assert summary.pairs_scored > 0

@@ -1,8 +1,14 @@
-"""Unit tests for :mod:`repro.pipeline`: cache, manifest, runner, study DAG."""
+"""Unit tests for :mod:`repro.pipeline`: cache, runner, resume from the
+cache (including after SIGKILL), study DAG."""
 
 from __future__ import annotations
 
+import os
 import pickle
+import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,10 +22,12 @@ from repro.pipeline import (
     ArtifactCache,
     Pipeline,
     PipelineResult,
-    RunManifest,
     Stage,
     stable_digest,
 )
+from tests import pipeline_kill_child
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestStableDigest:
@@ -84,32 +92,6 @@ class TestArtifactCache:
         cache.clear()
         assert all(key not in cache for key in keys)
         assert list(tmp_path.glob("*.pkl")) == []
-
-
-class TestRunManifest:
-    def test_roundtrip(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run.json")
-        manifest.begin("run-1")
-        manifest.mark_complete("collect", "key-a")
-        reloaded = RunManifest(tmp_path / "run.json")
-        reloaded.begin("run-1")
-        assert reloaded.is_complete("collect", "key-a")
-        assert not reloaded.is_complete("collect", "key-other")
-        assert reloaded.completed == {"collect": "key-a"}
-
-    def test_different_run_key_discards_records(self, tmp_path):
-        manifest = RunManifest(tmp_path / "run.json")
-        manifest.begin("run-1")
-        manifest.mark_complete("collect", "key-a")
-        changed = RunManifest(tmp_path / "run.json")
-        changed.begin("run-2")  # configuration changed: ledger resets
-        assert changed.completed == {}
-
-    def test_mark_without_begin_rejected(self, tmp_path):
-        from repro.errors import PipelineError
-
-        with pytest.raises(PipelineError):
-            RunManifest(tmp_path / "run.json").mark_complete("s", "k")
 
 
 def _diamond() -> Pipeline:
@@ -234,7 +216,6 @@ class TestPipelineRun:
     def test_resume_after_simulated_crash(self, tmp_path):
         """Kill between stages; a re-run skips the completed prefix."""
         cache = ArtifactCache(tmp_path / "cache")
-        manifest = RunManifest(tmp_path / "run.json")
         executions: list[str] = []
 
         def tracked(name, fn):
@@ -264,16 +245,17 @@ class TestPipelineRun:
 
         broken = build(crash)
         with pytest.raises(StageExecutionError):
-            broken.run(cache=cache, manifest=manifest)
+            broken.run(cache=cache)
         assert executions == ["collect"]
-        assert set(manifest.completed) == {"collect"}
+        on_disk = ArtifactCache(tmp_path / "cache")
+        stored = {
+            name for name, key in broken.stage_keys().items() if key in on_disk
+        }
+        assert stored == {"collect"}
 
-        # "Restart the process": fresh cache handle, fresh manifest handle.
+        # "Restart the process": a fresh cache handle on the same directory.
         survey = tracked("survey", lambda i: [x * 10 for x in i["collect"]])
-        rerun = build(survey).run(
-            cache=ArtifactCache(tmp_path / "cache"),
-            manifest=RunManifest(tmp_path / "run.json"),
-        )
+        rerun = build(survey).run(cache=ArtifactCache(tmp_path / "cache"))
         assert executions == ["collect", "survey", "analyze"]  # no re-collect
         assert rerun.cached == ("collect",)
         assert rerun["analyze"] == 60
@@ -317,7 +299,7 @@ class TestPipelineRun:
 class TestStageFailure:
     """Failure semantics: a raising stage must surface a
     :class:`StageExecutionError` naming the stage, dependents must never
-    execute, and the manifest must stay resumable."""
+    execute, and the cache must stay resumable."""
 
     @staticmethod
     def _build(survey_fn, executions):
@@ -366,9 +348,9 @@ class TestStageFailure:
         assert "analyze" not in executions  # dependent was skipped
         assert "collect" in executions
 
-    def test_manifest_stays_resumable_after_failure(self, tmp_path):
-        """A stage crash leaves a consistent ledger; the re-run skips
-        the recorded prefix and completes."""
+    def test_cache_resumes_after_failure(self, tmp_path):
+        """A stage crash leaves the finished prefix in the cache; the
+        re-run skips it and completes."""
         def crash(inputs, **params):
             raise RuntimeError("boom")
 
@@ -376,22 +358,19 @@ class TestStageFailure:
         broken = self._build(crash, executions)
         cache_dir = tmp_path / "cache"
         with pytest.raises(StageExecutionError):
-            broken.run(
-                cache=ArtifactCache(cache_dir),
-                manifest=RunManifest(tmp_path / "run.json"),
-            )
-        ledger = RunManifest(tmp_path / "run.json")
-        assert "collect" in ledger.completed  # prefix recorded
-        assert "survey" not in ledger.completed
-        assert "analyze" not in ledger.completed
+            broken.run(cache=ArtifactCache(cache_dir))
+        keys = broken.stage_keys()
+        on_disk = ArtifactCache(cache_dir)
+        assert keys["collect"] in on_disk  # prefix stored
+        assert keys["survey"] not in on_disk
+        assert keys["analyze"] not in on_disk
 
         # "Restart the process" with the survey stage fixed (same name,
-        # version, and params -> same cache key, so records still match).
+        # version, and params -> same cache key, so the artifacts match).
         collect_runs_before = executions.count("collect")
         survey = lambda i: [x * 10 for x in i["collect"]]  # noqa: E731
         rerun = self._build(survey, executions).run(
-            cache=ArtifactCache(cache_dir),
-            manifest=RunManifest(tmp_path / "run.json"),
+            cache=ArtifactCache(cache_dir)
         )
         assert rerun["analyze"] == 60
         assert executions.count("collect") == collect_runs_before  # resumed
@@ -453,6 +432,72 @@ class TestStageFailure:
             assert payload["span_id"] == span_of[payload["fields"]["stage"]]
         # The in-memory buffer and the stream agree line for line.
         assert len(tel.log.events()) == len(lines)
+
+
+class TestKillResume:
+    """SIGKILL a child process mid-run, then resume from the cache alone.
+
+    The cache is the only record of a run's progress: a fresh
+    :class:`ArtifactCache` on the killed run's directory must hold only
+    whole artifacts, and the re-run must equal an uninterrupted one.
+    """
+
+    @staticmethod
+    def _kill(tmp_path, where, delay=0.0):
+        """Run :mod:`tests.pipeline_kill_child` on ``tmp_path/cache``
+        and SIGKILL it *delay* seconds after it reaches *where*."""
+        marker = tmp_path / "marker"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tests.pipeline_kill_child",
+             str(tmp_path / "cache"), str(marker), where],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                if child.poll() is not None:
+                    pytest.fail(f"child exited early: {child.stderr.read()}")
+                if time.monotonic() > deadline:
+                    pytest.fail("child never reached the kill point")
+                time.sleep(0.001)
+            time.sleep(delay)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stderr.close()
+        return tmp_path / "cache"
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("uninterrupted")
+        return pipeline_kill_child.build().run(cache=ArtifactCache(cache_dir))
+
+    def test_killed_between_stages_resumes(self, tmp_path, uninterrupted):
+        cache_dir = self._kill(tmp_path, "between")
+        rerun = pipeline_kill_child.build().run(cache=ArtifactCache(cache_dir))
+        assert rerun.executed == ("second", "third")
+        assert rerun.cached == ("first",)
+        assert rerun.outputs == uninterrupted.outputs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_killed_mid_store_resumes(self, tmp_path, seed, uninterrupted):
+        # Storing the ~4.8 MB artifact took about 0.15 s on a 2-core VM,
+        # so most delays land inside the store; a later one kills the
+        # stalled third stage instead.
+        delay = random.Random(seed).uniform(0.0, 0.1)
+        cache_dir = self._kill(tmp_path, "store", delay)
+        on_disk = ArtifactCache(cache_dir)
+        keys = list(on_disk.keys())
+        assert not [key for key in keys if ".tmp" in key]
+        for key in keys:  # no partial artifact is ever read
+            on_disk.load(key)
+        rerun = pipeline_kill_child.build().run(cache=ArtifactCache(cache_dir))
+        assert rerun.outputs == uninterrupted.outputs
+        assert "third" in rerun.executed
 
 
 class TestStudyPipeline:

@@ -47,9 +47,6 @@ def long_variant_records(draw):
 
 knob_grid = st.fixed_dictionaries({
     "threshold": st.sampled_from([0.5, 0.75, 1.0]),
-    "containment_threshold": st.sampled_from([0.6, 0.9, 1.0]),
-    "shingle_size": st.sampled_from([2, 3, 4]),
-    "year_slack": st.sampled_from([0, 1]),
 })
 
 

@@ -274,6 +274,40 @@ def test_stage_dags_run_without_a_thread_pool():
         ), f"{module_name} imports concurrent.futures"
 
 
+def test_stage_dags_resume_from_the_cache_alone():
+    """The artifact cache is the one record of a run's progress: no
+    manifest parameter, class, module or run key beside it."""
+    import importlib.util
+
+    import repro.pipeline
+    from repro.pipeline import Pipeline
+
+    for entry in _stage_dag_entry_points():
+        assert "manifest" not in inspect.signature(entry).parameters, (
+            f"{entry.__qualname__} accepts manifest"
+        )
+    assert not hasattr(repro.pipeline, "RunManifest")
+    assert importlib.util.find_spec("repro.pipeline.manifest") is None
+    assert not hasattr(Pipeline, "run_key")
+
+
+def test_dedup_entry_points_take_the_same_knobs():
+    from repro.corpus import Corpus, CorpusStore
+    from repro.corpus.dedup import cluster_titles, find_duplicates
+
+    def keywords(entry):
+        return {
+            name for name, param in inspect.signature(entry).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+
+    entries = [cluster_titles, find_duplicates, Corpus.deduplicate,
+               CorpusStore.deduplicate]
+    assert len({frozenset(keywords(entry)) for entry in entries}) == 1, {
+        entry.__qualname__: sorted(keywords(entry)) for entry in entries
+    }
+
+
 def test_telemetry_has_no_gauge():
     from repro.telemetry import MetricsRegistry
     from repro.telemetry.hooks import NullMetricsRegistry

@@ -143,6 +143,11 @@ BOUND_CASES = [
     (["--replications", "0"], {"replications": 0}, "replications"),
     (["--target-ci", "0.1", "--max-replications", "0"],
      {"target_ci": 0.1, "max_replications": 0}, "max_replications"),
+    (["--fleet", "1001"], {"fleet": 1001}, "fleet"),
+    (["--replications", "100001"], {"replications": 100_001},
+     "replications"),
+    (["--target-ci", "0.1", "--max-replications", "100001"],
+     {"target_ci": 0.1, "max_replications": 100_001}, "max_replications"),
 ]
 
 
@@ -187,10 +192,15 @@ class TestValidationCost:
             return real(n_workflows, **kwargs)
 
         monkeypatch.setattr(repro.data, "synthetic_workflows", counting)
-        status, job = post(app, b'{"fleet": 1000000}')
+        status, job = post(app, b'{"fleet": 1000}')
         assert status == 202
         assert built == [1]
-        assert app.ctx.jobs.get(job["job"]).payload["fleet"] == 10 ** 6
+        assert app.ctx.jobs.get(job["job"]).payload["fleet"] == 1000
+        built.clear()
+        status, payload = post(app, b'{"fleet": 1001}')
+        assert status == 400
+        assert "fleet must be in [1, 1000]" in payload["error"]
+        assert built == []
 
     def test_large_grid_validates_without_listing_cells(
         self, app, monkeypatch

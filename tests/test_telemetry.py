@@ -1,5 +1,5 @@
 """Unit tests for :mod:`repro.telemetry`: tracer, metrics, exporters,
-profile report, and the pipeline/cache/manifest instrumentation hooks."""
+profile report, and the pipeline/cache instrumentation hooks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.errors import StageExecutionError, StatsError, TelemetryError
-from repro.pipeline import ArtifactCache, Pipeline, RunManifest, Stage
+from repro.pipeline import ArtifactCache, Pipeline, Stage
 from repro.stats.sketch import QuantileSketch
 from repro.telemetry import (
     LOG_LEVELS,
@@ -431,17 +431,6 @@ class TestPipelineInstrumentation:
             s for s in tel.tracer.spans() if s.name == "stage:boom"
         )
         assert "error" in span.tags
-
-    def test_manifest_writes_counted(self, tmp_path):
-        tel = Telemetry()
-        pipeline = Pipeline(
-            [Stage("a", lambda inputs: 1)], name="manifested"
-        )
-        manifest = RunManifest(tmp_path / "run.json")
-        pipeline.run(manifest=manifest, telemetry=tel)
-        # begin() + one mark_complete -> at least two ledger writes.
-        assert tel.metrics.counter("manifest.writes").value >= 2
-        assert manifest.telemetry is None  # unbound afterwards
 
 
 class TestCacheStats:
