@@ -32,6 +32,7 @@ from repro.continuum import (
     simulate_with_failures,
 )
 from repro.pipeline import ArtifactCache
+from tests.oracles import unit_stream_rng
 
 WORKFLOW = random_workflow(80, seed=55, output_range=(0.0, 0.2))
 CONTINUUM = default_continuum(n_hpc=2, n_cloud=4, n_edge=6, seed=55)
@@ -43,7 +44,7 @@ REPAIR = 1.0
 
 
 def _rng(rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(55, spawn_key=(rep,)))
+    return unit_stream_rng(55, rep)
 
 
 def test_bench_batched_vs_naive(benchmark):

@@ -106,7 +106,7 @@ from repro.stats.rounds import (
     SweepOutcome,
     Unit,
     Z_95,
-    round_rng,
+    round_rngs,
     run_rounds,
 )
 from repro.stats.sketch import QuantileSketch, RunningStat
@@ -329,7 +329,10 @@ def replicate_once(
     finite and >= 0, and ``mtbf`` > 0.  Draw order: the
     per-task jitter factors first (task insertion order), then the
     per-resource initial failure times (continuum key order), then one
-    exponential per consumed failure.
+    exponential per consumed failure.  The failure exponentials are drawn
+    in blocks (see :func:`_replicate`), so *rng* ends up advanced by up to
+    one block past the last draw the replay consumed: give each replay a
+    generator of its own, as every sweep does.
     """
     _validate_cell_params(
         mtbf=mtbf, repair_time=repair_time, policy=policy, jitter=jitter,
@@ -384,6 +387,10 @@ def _replicate(
     an attempt kills it, and the resource is down for ``repair_time``;
     ``migrate`` retries on the earliest-finishing feasible resource.
     ``mtbf=None`` is the makespan-only fast path, with no failure clock.
+    The clock's per-failure exponentials are drawn in blocks: the same
+    values, in the same order, as one scalar draw per failure, but *rng*
+    is left up to one block further on, so a replay must own its
+    generator.
     Returns per-task ``start``/``finish``/``resource`` lists, then killed
     attempts, lost work and idle failures; ``killed`` receives
     ``(task, resource, start, failure, attempt)`` per killed attempt.
@@ -397,7 +404,6 @@ def _replicate(
     transfer = ctx.transfer
     feasible = ctx.feasible
     res_rank = ctx.res_rank
-    exponential = rng.exponential
 
     factors = (
         rng.lognormal(mean=0.0, sigma=jitter, size=n_tasks).tolist()
@@ -405,9 +411,17 @@ def _replicate(
         else None
     )
     clocked = mtbf is not None
-    next_failure = (
-        exponential(mtbf, size=ctx.n_resources).tolist() if clocked else None
-    )
+    if clocked:
+        # The failure clock: each resource's first failure time, then the
+        # per-failure exponentials, drawn in blocks (8 in the same call,
+        # then 16, 32, ... up to 4,096 as they run out) and consumed in
+        # order from ``spare[used:]``.  NumPy draws a block exactly as
+        # the same number of scalar calls.  The first block shares its
+        # list with the clocks, past the last resource's slot.
+        next_failure = spare = rng.exponential(
+            mtbf, size=ctx.n_resources + 8
+        ).tolist()
+        used, block = ctx.n_resources, 8
     resource_free = [0.0] * ctx.n_resources
     start_time = [0.0] * n_tasks
     fin_time = [0.0] * n_tasks
@@ -453,7 +467,11 @@ def _replicate(
             # before the attempt starts.
             failure = next_failure[res]
             while failure < start:
-                failure += float(exponential(mtbf))
+                if used == len(spare):
+                    block = min(2 * block, 4096)
+                    spare, used = rng.exponential(mtbf, size=block).tolist(), 0
+                failure += spare[used]
+                used += 1
                 idle_failures += 1
             if failure >= start + duration:
                 next_failure[res] = failure
@@ -469,7 +487,11 @@ def _replicate(
             lost_work += failure - start
             if killed is not None:
                 killed.append((ti, res, start, failure, attempts))
-            next_failure[res] = failure + float(exponential(mtbf))
+            if used == len(spare):
+                block = min(2 * block, 4096)
+                spare, used = rng.exponential(mtbf, size=block).tolist(), 0
+            next_failure[res] = failure + spare[used]
+            used += 1
             resource_free[res] = failure + repair_time
             if migrate:
                 best: tuple[float, int] | None = None
@@ -1018,9 +1040,9 @@ def _worker_chunk(
     return [
         _summarize(context, _replicate(
             context, cell.mtbf, task.repair_time, migrate, cell.jitter,
-            task.max_attempts, round_rng(task.entropy, rep),
+            task.max_attempts, rng,
         )).as_tuple()
-        for rep in range(start, start + count)
+        for rng in round_rngs(task.entropy, start, count)
     ]
 
 

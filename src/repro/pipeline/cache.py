@@ -254,9 +254,19 @@ class ArtifactCache:
                 self.telemetry.log.warning("cache.evict", key=key[:12])
 
     def clear(self) -> None:
-        """Drop every artifact and reset the counters."""
+        """Drop every artifact and reset the counters.
+
+        On disk this also removes the temp files of stores that never
+        finished (a process killed inside :meth:`store` leaves its
+        ``.<key>.v<N>.pkl-XXXXXXXX.tmp`` behind), so a store still
+        running in another process on the same directory fails.
+        """
         for key in list(self.keys()):
             self.evict(key)
+        if self._directory is not None:
+            leftovers = f".*.v{CACHE_FORMAT}.pkl-*.tmp"
+            for path in self._directory.glob(leftovers):
+                path.unlink(missing_ok=True)
         self._memory.clear()
         self.hits = self.misses = self.stores = self.evictions = 0
 

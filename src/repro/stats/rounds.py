@@ -9,7 +9,8 @@ which owns what they share:
 
 * **identity → entropy → streams**: a unit's draws derive from a
   content-addressed entropy word (:func:`unit_entropy`), one
-  ``SeedSequence`` child per draw index (:func:`round_rng`);
+  ``SeedSequence`` child per draw index (:func:`round_rng`), built for a
+  whole round at once (:func:`round_rngs`);
 * **the cache**: an :class:`~repro.pipeline.cache.ArtifactCache` hit
   replaces all of a unit's draws; every computed unit is stored;
 * **the round queue**: fixed mode enqueues every round upfront,
@@ -36,10 +37,12 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from repro.errors import StatsError
 from repro.telemetry import ensure
 
 __all__ = [
@@ -49,6 +52,7 @@ __all__ = [
     "SweepOutcome",
     "unit_entropy",
     "round_rng",
+    "round_rngs",
     "run_rounds",
 ]
 
@@ -69,10 +73,121 @@ def unit_entropy(identity: Mapping[str, Any]) -> int:
 
 
 def round_rng(entropy: int, index: int) -> np.random.Generator:
-    """The dedicated generator for draw *index* of a unit's stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(index,))
-    )
+    """The dedicated generator for draw *index* of a unit's stream.
+
+    By definition it is NumPy's
+    ``default_rng(SeedSequence(entropy, spawn_key=(index,)))``, the
+    oracle ``tests/oracles.py::unit_stream_rng`` pins; it is built by
+    :func:`round_rngs`.
+    """
+    return round_rngs(entropy, index, 1)[0]
+
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # pool words, and 32-bit words of the largest entropy taken
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The ``(xor, multiplier)`` pairs of *n* successive hash steps."""
+    pairs = []
+    for _ in range(n):
+        nxt = (init * mult) & _MASK32
+        pairs.append((init, nxt))
+        init = nxt
+    return pairs
+
+
+# Mixing a 4-word entropy pool takes 4 + 12 hash steps, the spawn word
+# the next 4, one per pool word.  generate_state(4, uint64) reads 8
+# words, cycling the pool twice, so the spawn arrays below are laid out
+# over those 8 rows.
+_A_STEPS = _hash_consts(_INIT_A, _MULT_A, 4 + 12 + _POOL)
+_SPAWN_XOR = np.array([[x] for x, _ in _A_STEPS[16:]] * 2, np.uint32)
+_SPAWN_MUL = np.array([[m] for _, m in _A_STEPS[16:]] * 2, np.uint32)
+_B_STEPS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_STATE_XOR = np.array([[x] for x, _ in _B_STEPS], np.uint32)
+_STATE_MUL = np.array([[m] for _, m in _B_STEPS], np.uint32)
+
+
+@lru_cache(maxsize=1024)
+def _entropy_pool(entropy: int) -> np.ndarray:
+    """SeedSequence's pool mixed from *entropy* alone, before the spawn
+    word: what every index of a unit's stream shares.  Returned as the
+    left operand of the spawn word's ``mix``, over the 8 state rows."""
+    steps = iter(_A_STEPS)
+
+    def hashmix(value: int) -> int:
+        xor, mul = next(steps)
+        value = ((value ^ xor) * mul) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix((entropy >> (32 * i)) & _MASK32) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src]))
+                mixed &= _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    left = np.array([[(_MIX_L * word) & _MASK32] for word in pool] * 2,
+                    np.uint32)
+    left.flags.writeable = False  # shared by every caller of the cache
+    return left
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` holding the PCG64 seed words of one spawned
+    SeedSequence, precomputed.  Defined on first use: ``numpy.random``
+    costs about 6 MB and 30 ms to import, which ``import repro`` skips.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for exactly these 4 uint64
+
+    return SeedWords
+
+
+def round_rngs(
+    entropy: int, start: int, count: int
+) -> list[np.random.Generator]:
+    """The generators of draws ``[start, start + count)`` of a unit's
+    stream: ``[round_rng(entropy, k) for k in range(start, start + count)]``.
+
+    SeedSequence's entropy pool is mixed once; the spawn word and the
+    seed words are computed for all *count* indices at once in
+    ``uint32``, and each ``PCG64`` seeds itself from its words as it
+    would from the SeedSequence.  *entropy* must lie in ``[0, 2**128)``
+    and every index in ``[0, 2**32)``: outside those ranges NumPy mixes
+    a different number of words, and :class:`StatsError` is raised.
+    """
+    if not 0 <= entropy < 1 << 128:
+        raise StatsError(f"entropy must be in [0, 2**128), got {entropy}")
+    if count < 0 or start < 0 or start + count > 1 << 32:
+        raise StatsError(
+            f"stream indices [{start}, {start + count}) must lie in "
+            "[0, 2**32)"
+        )
+    spawn = np.arange(start, start + count, dtype=np.uint32)
+    spawn = (spawn ^ _SPAWN_XOR) * _SPAWN_MUL  # (8, count)
+    spawn ^= spawn >> 16
+    state = _entropy_pool(entropy) - _MIX_R * spawn
+    state ^= state >> 16
+    state = (state ^ _STATE_XOR) * _STATE_MUL
+    state ^= state >> 16
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+    words = words.astype(np.uint64, copy=False)
+    seed_words = _seed_words_type()
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    return [generator(pcg64(seed_words(row))) for row in words]
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,10 @@ is reachable from ``src/``.
   every pair, so it shows whether the candidates miss a match;
 * :func:`store_stats_reference`, :func:`store_by_year_reference`,
   :func:`store_by_venue_reference` — ``CorpusStore`` aggregates by full
-  scans of the live tables, with no index shortcut and no cache.
+  scans of the live tables, with no index shortcut and no cache;
+* :func:`unit_stream_rng` — the generator of one index of a sweep unit's
+  stream, built by NumPy's own ``SeedSequence``, which
+  ``repro.stats.rounds.round_rngs`` reproduces in bulk.
 """
 
 from __future__ import annotations
@@ -60,6 +63,17 @@ from repro.corpus.dedup import (
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import ContinuumError, CorpusError, SchedulingError
 from repro.stats.frequency import FrequencyTable
+
+# -- random streams -----------------------------------------------------------
+
+
+def unit_stream_rng(entropy: int, index: int) -> np.random.Generator:
+    """The generator of draw *index* of the unit with *entropy*: the
+    definition ``repro.stats.rounds.round_rng`` must equal."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy, spawn_key=(index,))
+    )
+
 
 # -- scheduling ---------------------------------------------------------------
 

@@ -361,6 +361,27 @@ class TestOracleParity:
                 seed=seed, max_attempts=500,
             )
 
+    @pytest.mark.parametrize("policy", ["restart", "migrate"])
+    def test_matches_across_failure_clock_refills(self, policy):
+        """The kernel draws its per-failure exponentials in blocks of 8,
+        16, ..., 4,096 (the last block ends at draw 8,184), then 4,096 at
+        a time; the oracle draws them one by one.  Every replay here
+        fires past the first capped block, so each block boundary of
+        the growth and the cap is crossed."""
+        wf = random_workflow(30, seed=8, output_range=(0.0, 0.05))
+        continuum = default_continuum(n_hpc=3, n_cloud=0, n_edge=0, seed=8)
+        schedule = HeftScheduler().schedule(wf, continuum)
+        for seed in range(2):
+            _, injected, _ = _replay(
+                schedule, 0.03, 5.0, policy, np.random.default_rng(seed),
+                5000,
+            )
+            assert injected > 8184 + 4096
+            self._assert_matches(
+                schedule, mtbf=0.03, repair_time=5.0, policy=policy,
+                seed=seed, max_attempts=5000,
+            )
+
 
 class TestNonTopologicalPlan:
     """An unvalidated plan that starts ``b`` at t=0 on ``cloud-00``, ahead

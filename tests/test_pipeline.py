@@ -498,6 +498,9 @@ class TestKillResume:
         rerun = pipeline_kill_child.build().run(cache=ArtifactCache(cache_dir))
         assert rerun.outputs == uninterrupted.outputs
         assert "third" in rerun.executed
+        # clear() removes the artifacts and any store the kill cut short.
+        ArtifactCache(cache_dir).clear()
+        assert list(cache_dir.iterdir()) == []
 
 
 class TestStudyPipeline:

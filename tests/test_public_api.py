@@ -376,3 +376,19 @@ def test_stats_exports_no_adaptive_front_doors():
     for module in (repro.stats, repro.stats.fanout):
         names = set(module.__all__) | set(vars(module))
         assert not {n for n in names if n.startswith("adaptive_")}
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_streams_are_seeded_in_one_place(module_name):
+    # A unit's stream is NumPy's SeedSequence by definition (the oracle
+    # tests/oracles.py::unit_stream_rng); src/ derives it in bulk in
+    # repro.stats.rounds.round_rngs and never constructs one.
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    built = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "SeedSequence" in {getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None)}
+    ]
+    assert not built, f"{module_name} builds a SeedSequence at {built}"
