@@ -11,31 +11,37 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
-from repro.corpus.corpus import Corpus
 from repro.corpus.dedup import find_duplicates
 from repro.corpus.query import Query
+from repro.corpus.store import CorpusStore
 from repro.data.bibliography import bibliography_bibtex, paper_bibliography
 from repro.data.synthetic import synthetic_corpus
 
 
 def test_bench_bibtex_parse(benchmark):
-    """Parse the paper's 49-entry bibliography from BibTeX."""
+    """Parse the paper's 49-entry bibliography into an in-memory store."""
     text = bibliography_bibtex()
-    corpus = benchmark(Corpus.from_bibtex, text)
-    assert len(corpus) == 49
-    assert corpus.year_range() == (2000, 2023)
+
+    def parse() -> CorpusStore:
+        store = CorpusStore()
+        store.ingest_bibtex(text)
+        return store
+
+    store = benchmark(parse)
+    assert len(store) == 49
+    assert store.year_range() == (2000, 2023)
 
 
 def test_bench_query_engine(benchmark):
     """Run the paper-harvest query over a 2000-record synthetic corpus."""
-    corpus = synthetic_corpus(2000, seed=11)
+    store = synthetic_corpus(2000, seed=11)
     query = Query(
         '(workflow* OR orchestration OR scheduling) AND '
         '("computing continuum" OR HPC OR edge) AND NOT checkpointing'
     )
 
-    hits = benchmark(query.filter, list(corpus))
-    assert 0 < len(hits) < len(corpus)
+    hits = benchmark(query.filter, list(store))
+    assert 0 < len(hits) < len(store)
     report("Corpus — boolean query over 2000 records",
            [f"{len(hits)} hits"])
 
@@ -43,10 +49,10 @@ def test_bench_query_engine(benchmark):
 @pytest.mark.parametrize("n_records", [200, 1000, 4000])
 def test_bench_dedup_scaling(benchmark, n_records):
     """Dedup scaling with 15% injected near-duplicates; verify recovery."""
-    corpus = synthetic_corpus(
+    store = synthetic_corpus(
         n_records, seed=5, duplicate_fraction=0.15
     )
-    records = list(corpus)
+    records = list(store)
 
     clusters = benchmark(find_duplicates, records)
     # Ground truth: each injected duplicate's key names its source; count
@@ -73,10 +79,10 @@ def test_bench_dedup_scaling(benchmark, n_records):
 
 def test_bench_venue_distribution(benchmark):
     """Venue normalization + counting over the paper bibliography."""
-    corpus = paper_bibliography()
+    store = paper_bibliography()
 
-    table = benchmark(corpus.by_venue)
-    assert table.total == len(corpus)
+    table = benchmark(store.by_venue)
+    assert table.total == len(store)
     report(
         "Corpus — top venues of the paper's bibliography",
         [f"{venue}: {count}" for venue, count in table.ranked()[:5]],

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Bibliometric analysis of the paper's own reference list.
 
-Treats the 49-entry bibliography embedded in :mod:`repro.data.bibliography`
-as a mini-corpus and runs the temporal/venue analyses an SMS reports:
+Loads the 49-entry bibliography embedded in :mod:`repro.data.bibliography`
+into an in-memory corpus store and runs the temporal/venue analyses an SMS
+reports:
 
 1. publications per year and cumulative growth (with a linear trend fit),
 2. the venue landscape after normalization,
@@ -34,23 +35,23 @@ from repro.viz import bubble_plot, line_chart
 
 
 def main() -> None:
-    corpus = paper_bibliography()
+    store = paper_bibliography()
     scheme = workflow_directions()
     names = dict(zip(scheme.keys, scheme.names))
-    print(f"Corpus: {len(corpus)} references, years {corpus.year_range()}")
+    print(f"Corpus: {len(store)} references, years {store.year_range()}")
 
     # 1. Temporal trend.
-    series = yearly_series(corpus)
+    series = store.by_year()
     fit = fit_linear_trend(series)
     print(f"Linear trend: {fit.slope:+.2f} publications/year "
           f"(R² = {fit.r_squared:.2f})")
-    recent = yearly_series(corpus, first=2015, last=2023)
+    recent = yearly_series(store, first=2015, last=2023)
     recent_fit = fit_linear_trend(recent)
     print(f"2015-2023 trend: {recent_fit.slope:+.2f} publications/year — "
           f"{'accelerating' if recent_fit.slope > fit.slope else 'steady'}")
 
     # 2. Venue landscape.
-    venues = corpus.by_venue()
+    venues = store.by_venue()
     print("\nTop venues:")
     for venue, count in venues.ranked()[:6]:
         print(f"  {venue}: {count}")
@@ -62,7 +63,7 @@ def main() -> None:
         return classifier.classify(publication.searchable_text()).label
 
     matrix, categories, years = category_year_matrix(
-        list(corpus), direction_of, scheme.keys, first=2014, last=2023
+        list(store), direction_of, scheme.keys, first=2014, last=2023
     )
     print("\nDirection x year (2014-2023):")
     header = "  ".join(f"{y % 100:02d}" for y in years)

@@ -43,12 +43,13 @@ def main() -> None:
 
     # -- 1. Harvest + dedup ------------------------------------------------
     corpus = synthetic_corpus(600, seed=7, duplicate_fraction=0.1)
-    clean = corpus.deduplicate()
-    print(f"Harvested {len(corpus)} records; {len(clean)} after dedup "
-          f"({len(corpus) - len(clean)} duplicates merged)")
+    identified = len(corpus)
+    dropped = corpus.deduplicate().dropped  # merges in place
+    print(f"Harvested {identified} records; {len(corpus)} after dedup "
+          f"({dropped} duplicates merged)")
 
     # -- 2. Protocol search query -------------------------------------------
-    hits = clean.search(
+    hits = corpus.search(
         "(workflow* OR orchestration OR scheduling OR placement) "
         'AND (HPC OR "computing continuum" OR edge OR cloud)'
     )
@@ -96,8 +97,8 @@ def main() -> None:
     # PRISMA-style selection flow.
     from repro.reporting import StudyFlow, render_flow_diagram
 
-    flow = StudyFlow("records identified", len(corpus))
-    flow.narrow("after deduplication", len(clean), "duplicate records")
+    flow = StudyFlow("records identified", identified)
+    flow.narrow("after deduplication", len(corpus), "duplicate records")
     flow.narrow("matched search query", len(hits), "off-topic")
     flow.narrow("included", len(included), "failed screening")
     print("\nSelection flow:")

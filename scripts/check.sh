@@ -14,8 +14,11 @@
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
 #                                    # port over a temp corpus store, hit
 #                                    # /health, /corpus/stats (twice) and
-#                                    # /metrics, send one chunked POST
-#                                    # (must get 501 + Connection: close),
+#                                    # /metrics, send one /corpus/query
+#                                    # nested past the parser's bound
+#                                    # (must get a 400 JSON error) and
+#                                    # one chunked POST (must get 501 +
+#                                    # Connection: close),
 #                                    # shut down clean; then ingest a
 #                                    # three-entry .bib with `repro corpus
 #                                    # ingest` and require `repro corpus
@@ -59,7 +62,9 @@ if [ "${RUN_SMOKE}" -eq 1 ]; then
     # process over a three-record corpus store, hit /health, read
     # /corpus/stats twice (cold, then from the store's aggregate cache),
     # check /metrics counted both reads in a mergeable latency sketch,
-    # send one chunked POST (refused with a 501 on a closed connection),
+    # send one query nested deeper than the parser allows (a 400 JSON
+    # error, not a 500), send one chunked POST (refused with a 501 on a
+    # closed connection),
     # and shut down gracefully (which also closes the store). Exercises
     # the real socket path (worker pool, keep-alive, graceful close) end
     # to end.
@@ -68,10 +73,13 @@ import json
 import socket
 import sys
 import tempfile
+import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import quote
 
 from repro.corpus.publication import Publication
+from repro.corpus.query import MAX_QUERY_DEPTH
 from repro.corpus.store import CorpusStore
 from repro.serve import ServerHandle, build_context
 from repro.stats.sketch import QuantileSketch
@@ -80,6 +88,16 @@ from repro.stats.sketch import QuantileSketch
 def get(url):
     with urllib.request.urlopen(url, timeout=10) as r:
         return r.read()
+
+
+def get_error(url):
+    """The status and JSON body of a request that must fail."""
+    try:
+        urllib.request.urlopen(url, timeout=10)
+    except urllib.error.HTTPError as err:
+        with err:
+            return err.code, json.loads(err.read())
+    raise AssertionError(f"{url} did not fail")
 
 
 def send_chunked(handle):
@@ -109,6 +127,9 @@ with tempfile.TemporaryDirectory() as tmp:
         cold = get(handle.url + "/corpus/stats")
         warm = get(handle.url + "/corpus/stats")
         metrics = json.loads(get(handle.url + "/metrics"))
+        depth = MAX_QUERY_DEPTH + 1
+        nested = get_error(handle.url + "/corpus/query?q="
+                           + quote("(" * depth + "workflow" + ")" * depth))
         chunked = send_chunked(handle)
 assert payload["status"] == "ok", payload
 assert cold == warm, (cold, warm)
@@ -116,11 +137,14 @@ assert json.loads(cold) == expected, (cold, expected)
 latency = metrics["serve.request_seconds.corpus_stats"]
 assert latency["count"] == 2, latency
 assert QuantileSketch.from_dict(latency["sketch"]).count == 2, latency
+assert nested[0] == 400, nested
+assert "nests deeper" in nested[1]["error"], nested
 chunked_head = chunked.partition(b"\r\n\r\n")[0].split(b"\r\n")
 assert chunked_head[0].split()[1] == b"501", chunked
 assert b"Connection: close" in chunked_head, chunked
 print(f"serve smoke: /health ok on {handle.url}, /corpus/stats "
-      f"{expected['records']} records twice, chunked POST refused 501, "
+      f"{expected['records']} records twice, nested /corpus/query refused "
+      "400, chunked POST refused 501, "
       "graceful shutdown clean")
 sys.exit(0)
 SMOKE

@@ -187,23 +187,27 @@ class MappingStudy:
     def harvest(self, corpus, *, query=None, criterion=None) -> "MappingStudy":
         """Optionally harvest a bibliographic corpus before collection.
 
-        Deduplicates an in-memory copy of *corpus* (a store is left
-        unchanged), applies the protocol's (or the given) search
-        *query* and an optional screening *criterion*, and records the
-        narrowing as a PRISMA-style :class:`~repro.reporting.prisma.StudyFlow`
-        available at :attr:`flow`.  The included publications are kept at
+        Copies *corpus* (any iterable of publications, a
+        :class:`~repro.corpus.store.CorpusStore` included, which is left
+        unchanged) into an in-memory store and deduplicates it there,
+        applies the protocol's (or the given) search *query* and an
+        optional screening *criterion*, and records the narrowing as a
+        PRISMA-style :class:`~repro.reporting.prisma.StudyFlow` available
+        at :attr:`flow`.  The included publications are kept at
         :attr:`harvested_publications`.  The study remains in the PLANNED
         stage: harvesting informs collection, it does not replace it (the
         ICSC study collected tools by consortium instead).
         """
-        from repro.corpus.corpus import Corpus
         from repro.corpus.query import Query
+        from repro.corpus.store import CorpusStore
         from repro.reporting.prisma import StudyFlow
 
         self._require(StudyStage.PLANNED)
-        identified = Corpus(corpus)
-        flow = StudyFlow("records identified", len(identified))
-        records = list(identified.deduplicate())
+        with CorpusStore() as identified:
+            identified.extend(corpus)
+            flow = StudyFlow("records identified", len(identified))
+            identified.deduplicate()
+            records = list(identified)
         flow.narrow("after deduplication", len(records), "duplicate records")
         queries = [query] if query is not None else list(
             self.protocol.search_queries

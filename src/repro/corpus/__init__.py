@@ -1,9 +1,9 @@
 """Bibliographic corpus substrate: records, BibTeX, venues, queries, dedup.
 
-Two containers serve the same corpus API: the in-memory
-:class:`~repro.corpus.corpus.Corpus` for study-scale record sets and the
-SQLite-backed :class:`~repro.corpus.store.CorpusStore` for corpora that
-must stream from disk (million-record multi-database merges).
+The corpus itself is one container, the SQLite-backed
+:class:`~repro.corpus.store.CorpusStore`: ``CorpusStore()`` holds a
+study-scale record set in memory, and ``CorpusStore(path)`` keeps a
+million-record multi-database merge on disk behind the same API.
 """
 
 from repro.corpus.bibtex import (
@@ -14,7 +14,6 @@ from repro.corpus.bibtex import (
     publications_from_bibtex,
     to_bibtex,
 )
-from repro.corpus.corpus import COLLISION_POLICIES, Corpus, resolve_collision
 from repro.corpus.dedup import (
     find_duplicates,
     merge_cluster,
@@ -23,7 +22,7 @@ from repro.corpus.dedup import (
     years_compatible,
 )
 from repro.corpus.publication import Publication, make_pub_key, normalize_title
-from repro.corpus.query import Query, parse_query
+from repro.corpus.query import Query
 from repro.corpus.store import CorpusStore, DedupSummary, IngestReport
 from repro.corpus.trends import (
     TrendFit,
@@ -35,8 +34,6 @@ from repro.corpus.trends import (
 from repro.corpus.venues import DEFAULT_ALIASES, VenueNormalizer
 
 __all__ = [
-    "COLLISION_POLICIES",
-    "Corpus",
     "CorpusStore",
     "DEFAULT_ALIASES",
     "DedupSummary",
@@ -57,9 +54,7 @@ __all__ = [
     "normalize_title",
     "pair_similarity",
     "parse_bibtex",
-    "parse_query",
     "publications_from_bibtex",
-    "resolve_collision",
     "title_shingles",
     "to_bibtex",
     "years_compatible",

@@ -14,7 +14,8 @@ Grammar::
     atom    := "(" expr ")" | '"phrase"' | term
 
 Terms match whole words case-insensitively; quoted phrases match
-contiguously; ``term*`` performs prefix matching.
+contiguously; ``term*`` performs prefix matching.  Parentheses and
+``NOT`` may nest at most :data:`MAX_QUERY_DEPTH` levels deep.
 
 The parser builds an AST (:class:`TermNode`, :class:`PhraseNode`,
 :class:`AndNode`, :class:`OrNode`, :class:`NotNode`) that a
@@ -34,8 +35,8 @@ from typing import Union
 from repro.errors import QueryError
 
 __all__ = [
+    "MAX_QUERY_DEPTH",
     "Query",
-    "parse_query",
     "QueryNode",
     "TermNode",
     "PhraseNode",
@@ -55,6 +56,13 @@ _TOKEN_RE = re.compile(
 )
 
 Matcher = Callable[[str], bool]
+
+#: Deepest nesting of ``(`` and ``NOT`` a query may use.  The parser, the
+#: matcher compiler and the store's candidate planner all recurse once
+#: per level, so the bound keeps a hostile query (``((((...``) a
+#: :class:`~repro.errors.QueryError` instead of a ``RecursionError``.
+#: Flat ``OR``/``AND`` chains of any length parse iteratively.
+MAX_QUERY_DEPTH = 100
 
 
 def _tokenize_query(text: str) -> list[str]:
@@ -133,6 +141,14 @@ class _Parser:
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_QUERY_DEPTH:
+            raise QueryError(
+                f"query nests deeper than {MAX_QUERY_DEPTH} levels"
+            )
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -174,7 +190,10 @@ class _Parser:
         token = self.peek()
         if token is not None and token.upper() == "NOT":
             self.advance()
-            return NotNode(self.parse_not())
+            self.descend()
+            node = NotNode(self.parse_not())
+            self.depth -= 1
+            return node
         return self.parse_atom()
 
     def parse_atom(self) -> QueryNode:
@@ -183,10 +202,12 @@ class _Parser:
             raise QueryError("unexpected end of query")
         if token == "(":
             self.advance()
+            self.descend()
             inner = self.parse_or()
             if self.peek() != ")":
                 raise QueryError("missing closing parenthesis")
             self.advance()
+            self.depth -= 1
             return inner
         if token == ")":
             raise QueryError("unexpected ')'")
@@ -278,8 +299,3 @@ class Query:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Query({self.source!r})"
-
-
-def parse_query(source: str) -> Query:
-    """Compile *source* into a :class:`Query` (alias constructor)."""
-    return Query(source)

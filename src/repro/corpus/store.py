@@ -1,10 +1,10 @@
-"""A persistent, indexed publication store for million-record corpora.
+"""The corpus: a persistent, indexed publication store.
 
-:class:`CorpusStore` serves the :class:`~repro.corpus.corpus.Corpus` API
-(add/extend/search/by_year/by_venue/deduplicate/to_bibtex) from a
-stdlib-``sqlite3`` database instead of an in-memory dict, so the paper's
-corpus phase (database search → dedup → screening) scales from the
-hundreds of records the study saw to millions:
+:class:`CorpusStore` is the one container the paper's corpus phase
+(database search → dedup → screening) runs on.  It keeps records in a
+stdlib-``sqlite3`` database — in memory when opened without a path, in a
+file otherwise — so the same code serves the 49-entry bibliography the
+study cites and million-record multi-database harvests:
 
 * **streaming ingestion** — :meth:`CorpusStore.ingest_bibtex` drives the
   generator-based BibTeX parser and commits in batches, so memory stays
@@ -20,9 +20,8 @@ hundreds of records the study saw to millions:
 * **in-memory deduplication, SQL merge** — :meth:`CorpusStore.deduplicate`
   reads ``(id, title, year)`` in one ``SELECT`` and hands the rows to
   :func:`repro.corpus.dedup.cluster_titles`, the one filtering, scoring
-  and clustering kernel ``Corpus.deduplicate`` also runs, in O(records)
-  memory; only the merge, delete and re-index run in SQL.  The merged
-  result is bit-identical to ``Corpus.deduplicate`` on the same records;
+  and clustering kernel, in O(records) memory; only the merge, delete
+  and re-index run in SQL;
 * **aggregates from the sorted indexes, cached per data version** —
   :meth:`CorpusStore.stats` counts distinct terms by walking the
   ``(term, pub_id)`` primary key in term order (no temp B-tree) and
@@ -41,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -51,7 +50,6 @@ from repro.corpus.bibtex import (
     iter_publications_from_bibtex,
     to_bibtex,
 )
-from repro.corpus.corpus import resolve_collision
 from repro.corpus.dedup import cluster_titles, merge_cluster
 from repro.corpus.publication import Publication, normalize_title
 from repro.corpus.query import (
@@ -64,7 +62,7 @@ from repro.corpus.query import (
     TermNode,
 )
 from repro.corpus.venues import VenueNormalizer
-from repro.errors import CorpusError, CorpusStoreError
+from repro.errors import CorpusError, CorpusStoreError, DuplicateEntityError
 from repro.stats.frequency import FrequencyTable
 from repro.telemetry import ensure
 
@@ -128,6 +126,39 @@ _STATS_SQL = (
 _YEAR_RANGE_SQL = (
     "SELECT (SELECT MIN(year) FROM pubs), (SELECT MAX(year) FROM pubs)"
 )
+
+
+#: Valid ``on_collision`` policies for ingestion: ``"error"`` raises,
+#: ``"suffix"`` disambiguates the key with ``-2``, ``-3``, ..., ``"skip"``
+#: drops the colliding record.
+_COLLISION_POLICIES = ("error", "suffix", "skip")
+
+
+def _resolve_collision(
+    key: str, taken: Container[str], policy: str
+) -> str | None:
+    """Resolve a citation-key collision under a policy.
+
+    Returns the key to store under (``key`` itself when free, a
+    ``key-2``/``key-3``... variant under ``"suffix"``), or ``None`` when
+    the record should be skipped.  ``"error"`` raises
+    :class:`~repro.errors.DuplicateEntityError`.
+    """
+    if policy not in _COLLISION_POLICIES:
+        raise CorpusError(
+            f"unknown collision policy {policy!r}; pick one of "
+            f"{', '.join(_COLLISION_POLICIES)}"
+        )
+    if key not in taken:
+        return key
+    if policy == "error":
+        raise DuplicateEntityError(f"duplicate publication key {key!r}")
+    if policy == "skip":
+        return None
+    n = 2
+    while f"{key}-{n}" in taken:
+        n += 1
+    return f"{key}-{n}"
 
 
 def _index_terms(publication: Publication) -> set[str]:
@@ -289,12 +320,13 @@ class CorpusStore:
     ) -> str | None:
         """Register one record; returns the key stored under.
 
-        Collision policies mirror :meth:`repro.corpus.corpus.Corpus.add`:
-        ``"error"`` (default) raises
-        :class:`~repro.errors.DuplicateEntityError`, ``"suffix"`` stores
-        under ``key-2``/``key-3``..., ``"skip"`` returns ``None``.
+        With the default ``on_collision="error"`` a duplicate key raises
+        :class:`~repro.errors.DuplicateEntityError`; ``"suffix"`` stores
+        the record under a disambiguated ``key-2``/``key-3``... variant
+        (multi-database exports reuse citation keys); ``"skip"`` drops
+        the record and returns ``None``.
         """
-        key = resolve_collision(publication.key, self, on_collision)
+        key = _resolve_collision(publication.key, self, on_collision)
         if key is None:
             return None
         if key != publication.key:
@@ -339,7 +371,7 @@ class CorpusStore:
         with tel.tracer.span("corpus.ingest"):
             try:
                 for publication in publications:
-                    key = resolve_collision(
+                    key = _resolve_collision(
                         publication.key, self, on_collision
                     )
                     if key is None:
@@ -621,8 +653,8 @@ class CorpusStore:
     def by_year(self) -> FrequencyTable:
         """Publication counts per year over the full corpus range.
 
-        Zero-publication gap years are kept, matching
-        :meth:`repro.corpus.corpus.Corpus.by_year`.
+        Zero-publication gap years are kept (a trend series with silently
+        missing years distorts Fig-2-style plots); unknown years dropped.
         """
         first, last = self.year_range()
         counts = {year: 0 for year in range(first, last + 1)}
@@ -641,8 +673,7 @@ class CorpusStore:
         distinct raw venue strings — not every publication row — cross
         into Python; the normalizer then folds raw spellings together on
         every call, so the cached SQL rows serve any *normalizer*.
-        Identical to :meth:`repro.corpus.corpus.Corpus.by_venue` on the
-        same records.
+        Records without a venue count under ``"(unknown)"``.
         """
         normalizer = normalizer or VenueNormalizer()
         counts: dict[str, int] = {}
@@ -681,9 +712,10 @@ class CorpusStore:
         clusters them with :func:`repro.corpus.dedup.cluster_titles` —
         the kernel behind :func:`~repro.corpus.dedup.find_duplicates`,
         in O(records) memory — and merges each cluster with
-        :func:`~repro.corpus.dedup.merge_cluster` in one transaction, so
-        the surviving records are bit-identical to ``Corpus.deduplicate``
-        on the same input.  Spans: ``corpus.dedup`` with children
+        :func:`~repro.corpus.dedup.merge_cluster` in one transaction.
+        Non-duplicates keep their insertion order; each cluster's merged
+        record takes its first member's row.  Spans: ``corpus.dedup``
+        with children
         ``corpus.dedup.cluster`` (read and kernel) and
         ``corpus.dedup.merge`` (the SQL merge).
         """

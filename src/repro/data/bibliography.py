@@ -5,12 +5,12 @@ paper instead collected tools through the ICSC consortium.  To exercise the
 full corpus substrate on real data, the paper's own bibliography (40 of the
 77 numbered references — every reference cited for a collected tool, plus
 the methodology and context references) is embedded here as BibTeX and
-loadable as a :class:`~repro.corpus.corpus.Corpus`.
+loadable as an in-memory :class:`~repro.corpus.store.CorpusStore`.
 """
 
 from __future__ import annotations
 
-from repro.corpus.corpus import Corpus
+from repro.corpus.store import CorpusStore
 
 __all__ = ["bibliography_bibtex", "paper_bibliography"]
 
@@ -411,6 +411,11 @@ def bibliography_bibtex() -> str:
     return _BIBTEX
 
 
-def paper_bibliography() -> Corpus:
-    """Load the reference sample as a deduplicated :class:`Corpus`."""
-    return Corpus.from_bibtex(_BIBTEX)
+def paper_bibliography() -> CorpusStore:
+    """Parse the reference sample into an in-memory :class:`CorpusStore`.
+
+    The 49 records are distinct: deduplicating the store drops none.
+    """
+    store = CorpusStore()
+    store.ingest_bibtex(_BIBTEX)
+    return store

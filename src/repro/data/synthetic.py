@@ -28,8 +28,8 @@ from repro.core.catalog import (
 )
 from repro.core.entities import Application, Institution, InstitutionKind, Tool
 from repro.core.taxonomy import ClassificationScheme, workflow_directions
-from repro.corpus.corpus import Corpus
 from repro.corpus.publication import Publication
+from repro.corpus.store import CorpusStore
 from repro.errors import ValidationError
 
 __all__ = [
@@ -277,12 +277,12 @@ def synthetic_corpus(
     seed: int = 0,
     duplicate_fraction: float = 0.0,
     year_range: tuple[int, int] = (2005, 2023),
-) -> Corpus:
-    """Generate a synthetic bibliographic corpus.
+) -> CorpusStore:
+    """Generate a synthetic bibliographic corpus as an in-memory store.
 
     With ``duplicate_fraction > 0``, that fraction of records are near-
     duplicates of earlier ones (case changes, subtitle truncation, ±1 year)
-    so dedup benchmarks have known ground truth: the returned corpus has
+    so dedup benchmarks have known ground truth: the returned store has
     ``n_publications`` records of which ``round(n * fraction)`` duplicate an
     original.
     """
@@ -346,7 +346,9 @@ def synthetic_corpus(
                 kind="article",
             )
         )
-    return Corpus(records)
+    store = CorpusStore()
+    store.extend(records)
+    return store
 
 
 def synthetic_ratings(

@@ -27,6 +27,9 @@ is reachable from ``src/``.
   which ``repro.corpus.dedup.cluster_titles`` counts and finds without
   materializing the pair set; :func:`cluster_titles_all_pairs` scores
   every pair, so it shows whether the candidates miss a match;
+* :func:`deduplicate_reference` — near-duplicate merging over a plain
+  record list, as the dict-backed corpus did it; ``CorpusStore`` search
+  is checked against ``Query(q).filter(records)`` the same way;
 * :func:`store_stats_reference`, :func:`store_by_year_reference`,
   :func:`store_by_venue_reference` — ``CorpusStore`` aggregates by full
   scans of the live tables, with no index shortcut and no cache;
@@ -58,8 +61,11 @@ from repro.continuum.workflow import Workflow
 from repro.corpus.dedup import (
     CONTAINMENT_THRESHOLD,
     YEAR_SLACK,
+    find_duplicates,
+    merge_cluster,
     title_shingles,
 )
+from repro.corpus.publication import Publication
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import ContinuumError, CorpusError, SchedulingError
 from repro.stats.frequency import FrequencyTable
@@ -684,6 +690,26 @@ def cluster_titles_all_pairs(
         ((a, b) for a in range(n) for b in range(a + 1, n)),
         threshold=threshold,
     )
+
+
+def deduplicate_reference(
+    records, *, threshold: float = 0.75
+) -> list[Publication]:
+    """``CorpusStore.deduplicate()``'s survivors, from a record list.
+
+    Clusters come from :func:`~repro.corpus.dedup.find_duplicates`; each
+    is replaced by its :func:`~repro.corpus.dedup.merge_cluster` record at
+    its first member's position, and every other record keeps its place.
+    """
+    records = list(records)
+    merged: dict[str, Publication] = {}
+    dropped: set[str] = set()
+    for cluster in find_duplicates(records, threshold=threshold):
+        merged[cluster[0].key] = merge_cluster(cluster)
+        dropped.update(pub.key for pub in cluster[1:])
+    return [
+        merged.get(pub.key, pub) for pub in records if pub.key not in dropped
+    ]
 
 
 # -- corpus store aggregates ----------------------------------------------------

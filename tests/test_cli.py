@@ -147,9 +147,11 @@ class TestExport:
     def test_bibtex(self, tmp_path):
         target = tmp_path / "refs.bib"
         assert main(["export", "--bibtex", str(target)]) == 0
-        from repro.corpus import Corpus
+        from repro.corpus import CorpusStore
 
-        assert len(Corpus.from_bibtex(target.read_text())) == 49
+        with CorpusStore() as store:
+            assert store.ingest_bibtex(target.read_text()).ingested == 49
+            assert len(store) == 49
 
     def test_mutually_exclusive(self):
         with pytest.raises(SystemExit):
@@ -482,6 +484,16 @@ class TestCorpus:
              "--limit", "-1"]
         ) == 1
         assert "--limit must be >= 0" in capsys.readouterr().err
+
+    def test_query_nested_past_the_bound_errors(self, tmp_path, capsys):
+        bib = self._write_bib(tmp_path)
+        store = tmp_path / "corpus.db"
+        main(["corpus", "ingest", str(bib), "--store", str(store),
+              "--lenient", "--on-collision", "suffix"])
+        capsys.readouterr()
+        nested = "(" * 1200 + "workflow" + ")" * 1200
+        assert main(["corpus", "query", nested, "--store", str(store)]) == 1
+        assert "nests deeper" in capsys.readouterr().err
 
     def test_strict_ingest_fails_on_bad_entry(self, tmp_path, capsys):
         bib = self._write_bib(tmp_path)

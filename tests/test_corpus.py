@@ -1,17 +1,36 @@
-"""Unit tests for Publication, Corpus, venues, queries, and dedup."""
+"""Unit tests for Publication, the corpus store, venues, queries, and dedup."""
 
 import pytest
 
-from repro.corpus.corpus import Corpus
 from repro.corpus.dedup import find_duplicates, merge_cluster
 from repro.corpus.publication import Publication, make_pub_key, normalize_title
-from repro.corpus.query import Query
+from repro.corpus.query import MAX_QUERY_DEPTH, Query
+from repro.corpus.store import CorpusStore
 from repro.corpus.venues import VenueNormalizer
 from repro.errors import CorpusError, DuplicateEntityError, QueryError, ValidationError
+from tests.oracles import (
+    deduplicate_reference,
+    store_by_venue_reference,
+    store_by_year_reference,
+)
 
 
 def _pub(key, title, year=2020, **kwargs):
     return Publication(key=key, title=title, year=year, **kwargs)
+
+
+def _parens(depth):
+    return "(" * depth + "workflow" + ")" * depth
+
+
+def _nots(depth):
+    return "NOT " * depth + "workflow"
+
+
+def _corpus(pubs):
+    corpus = CorpusStore()
+    corpus.extend(pubs)
+    return corpus
 
 
 class TestPublication:
@@ -84,6 +103,30 @@ class TestQuery:
     def test_malformed(self, bad):
         with pytest.raises(QueryError):
             Query(bad)
+
+    @pytest.mark.parametrize("depth", [MAX_QUERY_DEPTH + 1, 1200])
+    @pytest.mark.parametrize("nest", [_parens, _nots], ids=["parens", "not"])
+    def test_nesting_past_the_bound_is_a_query_error(self, nest, depth):
+        with pytest.raises(QueryError, match="nests deeper"):
+            Query(nest(depth))
+
+    @pytest.mark.parametrize("nest", [_parens, _nots], ids=["parens", "not"])
+    def test_nesting_at_the_bound_parses(self, nest):
+        query = Query(nest(MAX_QUERY_DEPTH))
+        assert query.matches_text("a workflow") == (
+            nest is _parens or MAX_QUERY_DEPTH % 2 == 0
+        )
+
+    def test_sibling_groups_do_not_add_up(self):
+        siblings = " AND ".join(
+            f"(NOT t{i})" for i in range(2 * MAX_QUERY_DEPTH)
+        )
+        assert Query(siblings).matches_text("workflow")
+
+    def test_long_flat_or_chain_parses(self):
+        query = Query(" OR ".join(f"t{i}" for i in range(20_000)))
+        assert query.matches_text("t19999")
+        assert not query.matches_text("t20000")
 
 
 class TestVenueNormalizer:
@@ -179,102 +222,112 @@ class TestDedup:
 
 
 class TestCorpus:
+    """The in-memory ``CorpusStore()`` against the dict-backed reference."""
+
     def test_duplicate_key_rejected(self):
-        corpus = Corpus([_pub("a", "T")])
+        corpus = _corpus([_pub("a", "T")])
         with pytest.raises(DuplicateEntityError):
             corpus.add(_pub("a", "T2"))
 
     def test_search(self):
-        corpus = Corpus([_pub("a", "Workflow things"), _pub("b", "Other")])
+        pubs = [_pub("a", "Workflow things"), _pub("b", "Other")]
+        corpus = _corpus(pubs)
         assert [p.key for p in corpus.search("workflow")] == ["a"]
+        assert corpus.search("workflow") == Query("workflow").filter(pubs)
 
     def test_by_year_fills_gap_years(self):
         # 2021 has no publications but must appear with a zero count — a
         # trend series with silently missing years distorts Fig-2 plots.
-        corpus = Corpus([_pub("a", "T", 2020), _pub("b", "U", 2020),
-                         _pub("c", "V", 2022)])
+        corpus = _corpus([_pub("a", "T", 2020), _pub("b", "U", 2020),
+                          _pub("c", "V", 2022)])
         assert corpus.by_year().to_dict() == {2020: 2, 2021: 0, 2022: 1}
+        assert corpus.by_year() == store_by_year_reference(corpus)
 
     def test_by_year_single_year(self):
-        corpus = Corpus([_pub("a", "T", 2020)])
+        corpus = _corpus([_pub("a", "T", 2020)])
         assert corpus.by_year().to_dict() == {2020: 1}
 
     def test_by_year_requires_years(self):
-        corpus = Corpus([Publication(key="a", title="T")])
+        corpus = _corpus([Publication(key="a", title="T")])
         with pytest.raises(CorpusError):
             corpus.by_year()
 
     def test_year_range(self):
-        corpus = Corpus([_pub("a", "T", 2005), _pub("b", "U", 2021)])
+        corpus = _corpus([_pub("a", "T", 2005), _pub("b", "U", 2021)])
         assert corpus.year_range() == (2005, 2021)
 
     def test_deduplicate_keeps_order(self):
-        corpus = Corpus([
+        pubs = [
             _pub("a", "Unique title one"),
             _pub("b", "A very repeated title"),
             _pub("c", "A VERY REPEATED TITLE"),
             _pub("d", "Unique title two"),
-        ])
-        deduped = corpus.deduplicate()
-        assert deduped.keys == ("a", "b", "d")
+        ]
+        corpus = _corpus(pubs)
+        corpus.deduplicate()
+        assert corpus.keys == ("a", "b", "d")
+        assert list(corpus) == deduplicate_reference(pubs)
 
     def test_getitem_unknown(self):
         with pytest.raises(CorpusError):
-            Corpus([_pub("a", "T")])["zzz"]
+            _corpus([_pub("a", "T")])["zzz"]
 
     def test_by_venue_ranked(self):
-        corpus = Corpus([
+        corpus = _corpus([
             _pub("a", "T", venue="IEEE TPDS"),
             _pub("b", "U", venue="IEEE TPDS"),
             _pub("c", "V", venue="FGCS"),
         ])
         table = corpus.by_venue()
         assert table.mode() == "tpds"
+        assert table == store_by_venue_reference(corpus)
 
 
 class TestCollisionPolicies:
     def test_suffix_disambiguates(self):
-        corpus = Corpus([_pub("a", "First")])
+        corpus = _corpus([_pub("a", "First")])
         key = corpus.add(_pub("a", "Second"), on_collision="suffix")
         assert key == "a-2"
         assert corpus["a"].title == "First"
         assert corpus["a-2"].title == "Second"
 
     def test_suffix_chains(self):
-        corpus = Corpus([_pub("a", "First")])
+        corpus = _corpus([_pub("a", "First")])
         corpus.add(_pub("a", "Second"), on_collision="suffix")
         key = corpus.add(_pub("a", "Third"), on_collision="suffix")
         assert key == "a-3"
 
     def test_skip_drops_record(self):
-        corpus = Corpus([_pub("a", "First")])
+        corpus = _corpus([_pub("a", "First")])
         assert corpus.add(_pub("a", "Second"), on_collision="skip") is None
         assert len(corpus) == 1
         assert corpus["a"].title == "First"
 
     def test_unknown_policy(self):
         with pytest.raises(CorpusError):
-            Corpus().add(_pub("a", "T"), on_collision="merge")
+            CorpusStore().add(_pub("a", "T"), on_collision="merge")
 
     def test_extend_reports_stored_keys(self):
-        corpus = Corpus()
-        stored = corpus.extend(
+        corpus = CorpusStore()
+        report = corpus.extend(
             [_pub("a", "First"), _pub("a", "Second"), _pub("b", "Third")],
             on_collision="suffix",
         )
-        assert stored == ["a", "a-2", "b"]
+        assert (report.ingested, report.renamed) == (3, 1)
+        assert corpus.keys == ("a", "a-2", "b")
 
     def test_resolve_collision_shared_helper(self):
-        from repro.corpus.corpus import resolve_collision
+        from repro.corpus.store import _resolve_collision
 
-        assert resolve_collision("x", {"a"}, "error") == "x"
-        assert resolve_collision("a", {"a"}, "skip") is None
-        assert resolve_collision("a", {"a", "a-2"}, "suffix") == "a-3"
+        assert _resolve_collision("x", {"a"}, "error") == "x"
+        assert _resolve_collision("a", {"a"}, "skip") is None
+        assert _resolve_collision("a", {"a", "a-2"}, "suffix") == "a-3"
         with pytest.raises(DuplicateEntityError):
-            resolve_collision("a", {"a"}, "error")
+            _resolve_collision("a", {"a"}, "error")
 
     def test_from_bibtex_with_collisions(self):
-        corpus = Corpus.from_bibtex(
+        corpus = CorpusStore()
+        corpus.ingest_bibtex(
             "@misc{k, title = {One}}\n@misc{k, title = {Two}}",
             on_collision="suffix",
         )

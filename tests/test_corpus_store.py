@@ -1,22 +1,30 @@
 """Unit tests for the persistent :class:`CorpusStore`.
 
 The store's contract is *parity*: on the same records, ``search`` and
-``deduplicate`` must return bit-identical results to the in-memory
-:class:`Corpus` — the index and the SQL merge are allowed to be faster,
-never different.
+``deduplicate`` must return bit-identical results to the references over
+a plain record list — ``Query(q).filter(records)`` and
+:func:`tests.oracles.deduplicate_reference`.  The index and the SQL
+merge are allowed to be faster, never different.
 """
 
 import pytest
 
-from repro.corpus.corpus import Corpus
+from repro.corpus.bibtex import publications_from_bibtex, to_bibtex
 from repro.corpus.publication import Publication
+from repro.corpus.query import MAX_QUERY_DEPTH, Query
 from repro.corpus.store import CorpusStore, SCHEMA_VERSION
-from repro.data.bibliography import paper_bibliography
+from repro.data.bibliography import bibliography_bibtex, paper_bibliography
 from repro.data.synthetic import synthetic_corpus
 from repro.errors import (
     CorpusError,
     CorpusStoreError,
     DuplicateEntityError,
+    QueryError,
+)
+from tests.oracles import (
+    deduplicate_reference,
+    store_by_venue_reference,
+    store_by_year_reference,
 )
 
 QUERIES = [
@@ -162,22 +170,22 @@ class TestIngestion:
 
 class TestSearchParity:
     @pytest.fixture(scope="class")
-    def seed_corpus(self):
-        return paper_bibliography()
+    def seed_records(self):
+        return publications_from_bibtex(bibliography_bibtex())
 
     @pytest.fixture(scope="class")
-    def seed_store(self, seed_corpus):
-        return _filled(seed_corpus)
+    def seed_store(self, seed_records):
+        return _filled(seed_records)
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_bit_identical_to_in_memory(self, seed_corpus, seed_store, query):
-        assert seed_store.search(query) == seed_corpus.search(query)
+    def test_bit_identical_to_in_memory(self, seed_records, seed_store, query):
+        assert seed_store.search(query) == Query(query).filter(seed_records)
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_parity_on_synthetic(self, query):
-        corpus = synthetic_corpus(150, seed=7)
-        store = _filled(corpus)
-        assert store.search(query) == corpus.search(query)
+        store = synthetic_corpus(150, seed=7)
+        records = list(store)
+        assert store.search(query) == Query(query).filter(records)
 
     def test_multiword_term_with_punctuation(self):
         pubs = [
@@ -187,19 +195,42 @@ class TestSearchParity:
         ]
         store = _filled(pubs)
         assert [p.key for p in store.search("task-based")] == \
-            [p.key for p in Corpus(pubs).search("task-based")]
+            [p.key for p in Query("task-based").filter(pubs)]
 
     def test_empty_result(self):
         store = _filled([_pub("a", "Workflows")])
         assert store.search("zzzqqq") == []
 
+    @pytest.mark.parametrize("nested", [
+        pytest.param("(" * 1200 + "workflow" + ")" * 1200, id="parens"),
+        pytest.param("NOT " * 1200 + "workflow", id="not"),
+        pytest.param("(workflow AND " * (MAX_QUERY_DEPTH + 1) + "x"
+                     + ")" * (MAX_QUERY_DEPTH + 1), id="and-parens"),
+    ])
+    def test_nesting_past_the_bound_is_a_query_error(self, nested):
+        store = _filled([_pub("a", "Workflows")])
+        with pytest.raises(QueryError, match="nests deeper"):
+            store.search(nested)
+
+    def test_nesting_at_the_bound_searches(self):
+        # Alternating AND/OR levels keep every level in the AST, so the
+        # candidate planner recurses MAX_QUERY_DEPTH deep.
+        depth = MAX_QUERY_DEPTH
+        ops = ("OR", "AND") * (depth // 2) + ("OR",) * (depth % 2)
+        nested = "".join(f"(workflow {op} " for op in ops)
+        nested += "workflow" + ")" * depth
+        pubs = [_pub("a", "Workflow engines"), _pub("b", "Other")]
+        store = _filled(pubs)
+        assert store.search(nested) == Query(nested).filter(pubs)
+        assert [p.key for p in store.search(nested)] == ["a"]
+
 
 class TestDedupParity:
     def test_parity_on_seed_corpus(self):
-        corpus = paper_bibliography()
-        store = _filled(corpus)
+        store = paper_bibliography()
+        expected = deduplicate_reference(store)
         store.deduplicate()
-        assert list(store) == list(corpus.deduplicate())
+        assert list(store) == expected
 
     @pytest.mark.parametrize("seed, threshold", [
         pytest.param(0, 0.75, id="0"),
@@ -208,12 +239,12 @@ class TestDedupParity:
         pytest.param(3, 1.0, id="3-threshold1.0"),
     ])
     def test_parity_on_synthetic_with_duplicates(self, seed, threshold):
-        corpus = synthetic_corpus(120, seed=seed, duplicate_fraction=0.25)
-        store = _filled(corpus)
+        store = synthetic_corpus(120, seed=seed, duplicate_fraction=0.25)
+        records = list(store)
         summary = store.deduplicate(threshold=threshold)
-        deduped = corpus.deduplicate(threshold=threshold)
-        assert list(store) == list(deduped)
-        assert summary.dropped == len(corpus) - len(deduped)
+        deduped = deduplicate_reference(records, threshold=threshold)
+        assert list(store) == deduped
+        assert summary.dropped == len(records) - len(deduped)
         assert summary.pairs_scored > 0
 
     def test_index_updated_after_merge(self):
@@ -244,9 +275,9 @@ class TestGrouping:
         assert store.by_year().to_dict() == {2020: 2, 2021: 0, 2022: 1}
 
     def test_by_year_matches_in_memory(self):
-        corpus = synthetic_corpus(100, seed=1)
-        store = _filled(corpus)
-        assert store.by_year().to_dict() == corpus.by_year().to_dict()
+        store = synthetic_corpus(100, seed=1)
+        assert store.by_year().to_dict() == \
+            store_by_year_reference(store).to_dict()
 
     def test_by_year_requires_years(self):
         store = _filled([Publication(key="a", title="T")])
@@ -254,9 +285,9 @@ class TestGrouping:
             store.by_year()
 
     def test_by_venue_matches_in_memory(self):
-        corpus = paper_bibliography()
-        store = _filled(corpus)
-        assert store.by_venue().to_dict() == corpus.by_venue().to_dict()
+        store = paper_bibliography()
+        assert store.by_venue().to_dict() == \
+            store_by_venue_reference(store).to_dict()
 
     def test_by_venue_empty(self):
         with pytest.raises(CorpusError):
@@ -274,9 +305,8 @@ class TestGrouping:
             _pub("e", "T5"),
         ]
         store = _filled(pubs)
-        corpus = Corpus(pubs)
         table = store.by_venue()
-        assert table.to_dict() == corpus.by_venue().to_dict()
+        assert table.to_dict() == store_by_venue_reference(store).to_dict()
         raw_venues = {
             row[0]
             for row in store.db.execute("SELECT DISTINCT venue FROM pubs")
@@ -290,9 +320,10 @@ class TestGrouping:
         assert store.year_range() == (2005, 2021)
 
     def test_to_bibtex_roundtrip(self):
-        corpus = paper_bibliography()
-        store = _filled(corpus)
-        assert store.to_bibtex() == corpus.to_bibtex()
+        store = paper_bibliography()
+        assert store.to_bibtex() == to_bibtex(
+            publications_from_bibtex(bibliography_bibtex())
+        )
 
 
 class TestPersistence:

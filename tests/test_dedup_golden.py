@@ -1,11 +1,12 @@
-"""Golden digests of both deduplication entry points.
+"""Golden digests of deduplication, in the store and in its reference.
 
-Pins, as literal values, what :meth:`CorpusStore.deduplicate` and
-:meth:`Corpus.deduplicate` do to one seeded corpus: a digest of every
-surviving record (all fields, in order), the cluster and drop counts,
-the store's ``pairs_scored`` and a digest of the in-memory cluster
-membership.  The corpus is ~3k records with a wide title vocabulary and
-planted duplicates, plus the edge cases the prefix filter must survive:
+Pins, as literal values, what :meth:`CorpusStore.deduplicate` and the
+list-based :func:`tests.oracles.deduplicate_reference` do to one seeded
+corpus: a digest of every surviving record (all fields, in order), the
+cluster and drop counts, the store's ``pairs_scored`` and a digest of
+the :func:`~repro.corpus.dedup.find_duplicates` cluster membership.
+The corpus is ~3k records with a wide title vocabulary and planted
+duplicates, plus the edge cases the prefix filter must survive:
 non-ASCII titles, year-less records, titles of four characters or
 fewer, and titles that normalize to nothing.  A change to the prefix
 filter, rarest-first order, scoring, the year gate or the merge policy
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 import random
 
-from repro.corpus.corpus import Corpus
 from repro.corpus.dedup import cluster_titles, find_duplicates
 from repro.corpus.publication import Publication
 from repro.corpus.store import CorpusStore
 from repro.pipeline.cache import stable_digest
-from tests.oracles import cluster_titles_all_pairs
+from tests.oracles import cluster_titles_all_pairs, deduplicate_reference
 
 #: (surviving-records digest, clusters, dropped, pairs_scored)
 STORE_GOLDEN = (
@@ -162,15 +162,19 @@ def test_store_dedup_golden():
 
 
 def test_corpus_dedup_golden():
-    corpus = Corpus(golden_records())
-    clusters = find_duplicates(list(corpus))
-    deduped = corpus.deduplicate()
+    records = golden_records()
+    clusters = find_duplicates(records)
+    deduped = deduplicate_reference(records)
     assert (
         records_digest(deduped),
         stable_digest([[p.key for p in cluster] for cluster in clusters]),
         len(clusters),
-        len(corpus) - len(deduped),
+        len(records) - len(deduped),
     ) == CORPUS_GOLDEN
+    store = CorpusStore()
+    store.extend(records)
+    store.deduplicate()
+    assert list(store) == deduped
 
 
 def test_all_pairs_oracle_finds_the_kernel_clusters():

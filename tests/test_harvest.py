@@ -5,12 +5,13 @@ import pytest
 from repro.core.protocol import ResearchQuestion, StudyProtocol
 from repro.core.study import MappingStudy, StudyStage
 from repro.core.taxonomy import workflow_directions
-from repro.corpus.corpus import Corpus
+from repro.corpus.query import Query
 from repro.corpus.store import CorpusStore
 from repro.data.icsc import icsc_applications, icsc_institutions, icsc_tools
 from repro.data.synthetic import synthetic_corpus
 from repro.errors import StudyError
 from repro.screening import has_any_keyword, year_between
+from tests.oracles import deduplicate_reference
 
 
 def _protocol(queries=()):
@@ -25,13 +26,12 @@ def _protocol(queries=()):
 class TestHarvest:
     def test_full_flow_recorded(self):
         corpus = synthetic_corpus(300, seed=9, duplicate_fraction=0.1)
-        study = MappingStudy(_protocol())
-        study.harvest(
-            corpus,
-            query="workflow* OR orchestration OR scheduling",
-            criterion=year_between(2010, 2023)
-            & has_any_keyword(["hpc", "cloud", "edge", "continuum"]),
+        query = "workflow* OR orchestration OR scheduling"
+        criterion = year_between(2010, 2023) & has_any_keyword(
+            ["hpc", "cloud", "edge", "continuum"]
         )
+        study = MappingStudy(_protocol())
+        study.harvest(corpus, query=query, criterion=criterion)
         flow = study.flow
         stage_names = [stage.name for stage in flow.stages]
         assert stage_names == [
@@ -43,6 +43,13 @@ class TestHarvest:
         assert flow.initial == 300
         assert flow.final == len(study.harvested_publications)
         assert 0 < flow.final < flow.initial
+        deduped = deduplicate_reference(corpus)
+        hits = Query(query).filter(deduped)
+        included = [p for p in hits if criterion.evaluate(p).included]
+        assert [stage.count for stage in flow.stages] == [
+            300, len(deduped), len(hits), len(included),
+        ]
+        assert study.harvested_publications == included
 
     def test_protocol_queries_used_when_none_given(self):
         corpus = synthetic_corpus(100, seed=2)
@@ -75,12 +82,15 @@ class TestHarvest:
         store.extend(records)
         keys = store.keys
         from_store = MappingStudy(_protocol()).harvest(store)
-        from_corpus = MappingStudy(_protocol()).harvest(Corpus(records))
+        from_records = MappingStudy(_protocol()).harvest(records)
         assert (len(store), store.keys) == (200, keys)
         assert [
             (stage.name, stage.count) for stage in from_store.flow.stages
         ] == [
-            (stage.name, stage.count) for stage in from_corpus.flow.stages
+            (stage.name, stage.count) for stage in from_records.flow.stages
+        ] == [
+            ("records identified", 200),
+            ("after deduplication", len(deduplicate_reference(records))),
         ]
 
     def test_harvest_after_collect_rejected(self):

@@ -291,8 +291,32 @@ def test_stage_dags_resume_from_the_cache_alone():
     assert not hasattr(Pipeline, "run_key")
 
 
+def test_corpus_has_one_container():
+    """``CorpusStore`` is the corpus: no dict-backed twin is exported, and
+    no other ``src/`` class serves both search and deduplication."""
+    import importlib.util
+
+    import repro.corpus
+    from repro.corpus import CorpusStore
+
+    assert "Corpus" not in repro.corpus.__all__
+    assert not hasattr(repro.corpus, "Corpus")
+    assert importlib.util.find_spec("repro.corpus.corpus") is None
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.corpus.corpus")
+    containers = {
+        obj
+        for module_name in PUBLIC_MODULES
+        for obj in vars(importlib.import_module(module_name)).values()
+        if inspect.isclass(obj)
+        and obj.__module__.startswith("repro.")
+        and {"search", "deduplicate"} <= set(vars(obj))
+    }
+    assert containers == {CorpusStore}, containers
+
+
 def test_dedup_entry_points_take_the_same_knobs():
-    from repro.corpus import Corpus, CorpusStore
+    from repro.corpus import CorpusStore
     from repro.corpus.dedup import cluster_titles, find_duplicates
 
     def keywords(entry):
@@ -301,8 +325,7 @@ def test_dedup_entry_points_take_the_same_knobs():
             if param.kind is inspect.Parameter.KEYWORD_ONLY
         }
 
-    entries = [cluster_titles, find_duplicates, Corpus.deduplicate,
-               CorpusStore.deduplicate]
+    entries = [cluster_titles, find_duplicates, CorpusStore.deduplicate]
     assert len({frozenset(keywords(entry)) for entry in entries}) == 1, {
         entry.__qualname__: sorted(keywords(entry)) for entry in entries
     }

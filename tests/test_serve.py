@@ -781,6 +781,32 @@ class TestCorpusQueryLimit:
         assert len(hits["results"]) == min(50, hits["count"])
 
 
+class TestCorpusQueryNesting:
+    """A query nested past ``MAX_QUERY_DEPTH`` is the client's error."""
+
+    @pytest.mark.parametrize("q", [
+        pytest.param("(" * 1200 + "workflow" + ")" * 1200, id="parens"),
+        pytest.param("NOT " * 1200 + "workflow", id="not"),
+    ])
+    def test_is_400_not_a_crash(self, ctx, q):
+        from urllib.parse import quote
+
+        from repro.corpus.publication import Publication
+        from repro.corpus.store import CorpusStore
+
+        ctx.store = CorpusStore(threadsafe=True)
+        ctx.store.add(Publication(key="k1", title="Workflow engines"))
+        status, payload = dispatch(
+            ServeApp(ctx), "GET", "/corpus/query?q=" + quote(q)
+        )
+        ctx.store.close()
+        assert status == 400
+        assert "nests deeper" in payload["error"]
+        events = [e.event for e in ctx.telemetry.log.events()]
+        assert "serve.access" in events
+        assert "serve.crash" not in events
+
+
 class TestServeCommand:
     """``repro serve`` binds, then prints its URL, on one start-up path."""
 
